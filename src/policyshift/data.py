@@ -183,6 +183,9 @@ def ingest_csv(path: str | Path, schema: CsvSchema | None = None) -> CombinedDat
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
+        duplicated = [c for c in dict.fromkeys(header) if header.count(c) > 1]
+        if duplicated:
+            raise ValueError(f"{path}: duplicated header columns {duplicated}")
         if schema.group not in header:
             raise ValueError(f"{path}: missing group column {schema.group!r}")
         reserved = {schema.group, schema.treatment, schema.outcome}

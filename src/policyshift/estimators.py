@@ -13,17 +13,14 @@ estimands:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import CombinedDataset
-from .nuisance import NuisanceSet, NuisanceValues
+from .nuisance import NuisanceSet
 
 Z_95 = 1.959964  # two-sided 95% normal quantile
-
-KINDS = ("direct", "ipw", "se")
-ESTIMANDS = ("r", "v")
 
 
 @dataclass(frozen=True)
@@ -57,85 +54,66 @@ class RewardEstimate:
     influence_values: np.ndarray | None = None
 
 
-def _eval_values(dataset: CombinedDataset, nuisances: NuisanceSet) -> NuisanceValues:
-    return nuisances.values(dataset.covariates, np.arange(dataset.n))
+def _coefficients(dataset: CombinedDataset, nuisances: NuisanceSet, kind: str, estimand: str) -> RewardCoefficients:
+    """The one coefficient builder: plug-in terms plus weighted outcome terms.
 
-
-def _source_arrays(dataset: CombinedDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group indicator plus treatment/outcome with zeros on target rows."""
-    g = dataset.group.astype(float)
-    a = np.where(dataset.source_mask, dataset.treatment, 0.0)
-    y = np.where(dataset.source_mask, dataset.outcome, 0.0)
-    return g, a, y
+    ``direct`` keeps the plug-in terms of the fitted surfaces, ``ipw`` the
+    weighted terms of the raw outcome, and ``se`` both, with the weighted
+    terms taken of the residuals ``y - mu_arm``. Estimand ``r`` puts the
+    plug-in terms on target rows scaled by 1/(1-q) and weights source rows by
+    the target odds (1-s)/s over (1-q); estimand ``v`` puts them on every row
+    and weights source rows by 1/s.
+    """
+    v = nuisances.values(dataset.covariates)
+    q = dataset.source_fraction
+    src, tgt = dataset.source_mask, dataset.target_mask
+    if estimand == "r":
+        plug_rows, plug_scale = tgt, 1.0 - q
+        weight, weight_scale = (1.0 - v.s) / v.s, 1.0 - q
+        center_weight = tgt.astype(float) / (1.0 - q)
+    else:
+        plug_rows, plug_scale = np.ones(dataset.n, dtype=bool), 1.0
+        weight, weight_scale = 1.0, v.s
+        center_weight = np.ones(dataset.n)
+    a = b = 0.0
+    if kind != "ipw":
+        a = np.where(plug_rows, (v.mu1 - v.mu0) / plug_scale, 0.0)
+        b = np.where(plug_rows, v.mu0 / plug_scale, 0.0)
+    if kind != "direct":
+        g = dataset.group.astype(float)
+        arm = np.where(src, dataset.treatment, 0.0)
+        y = np.where(src, dataset.outcome, 0.0)
+        r1, r0 = (y, y) if kind == "ipw" else (y - v.mu1, y - v.mu0)
+        on = g * arm * r1 * weight / (v.e1 * weight_scale)
+        off = g * (1.0 - arm) * r0 * weight / ((1.0 - v.e1) * weight_scale)
+        a = a + (on - off)
+        b = b + off
+    return RewardCoefficients(a=a, b=b, center_weight=center_weight, kind=kind, estimand=estimand)
 
 
 def coefficients_direct_r(dataset: CombinedDataset, nuisances: NuisanceSet) -> RewardCoefficients:
-    """Outcome-regression estimator of the target-domain reward.
-
-    Target rows contribute the fitted surfaces scaled by 1/(1-q); source rows
-    contribute nothing.
-    """
-    v = _eval_values(dataset, nuisances)
-    q = dataset.source_fraction
-    tgt = dataset.target_mask
-    a = np.where(tgt, (v.mu1 - v.mu0) / (1.0 - q), 0.0)
-    b = np.where(tgt, v.mu0 / (1.0 - q), 0.0)
-    return RewardCoefficients(a=a, b=b, center_weight=_center_r(dataset), kind="direct", estimand="r")
+    """Outcome-regression estimator of the target reward: fitted surfaces on target rows."""
+    return _coefficients(dataset, nuisances, "direct", "r")
 
 
 def coefficients_ipw_r(dataset: CombinedDataset, nuisances: NuisanceSet) -> RewardCoefficients:
-    """Weighting estimator of the target reward using both scores.
-
-    Each source row is weighted by the odds of belonging to the target domain
-    times the inverse probability of its observed arm; target rows contribute
-    nothing.
-    """
-    v = _eval_values(dataset, nuisances)
-    q = dataset.source_fraction
-    g, arm, y = _source_arrays(dataset)
-    w = (1.0 - v.s) / v.s
-    on = g * arm * y * w / (v.e1 * (1.0 - q))
-    off = g * (1.0 - arm) * y * w / ((1.0 - v.e1) * (1.0 - q))
-    return RewardCoefficients(a=on - off, b=off, center_weight=_center_r(dataset), kind="ipw", estimand="r")
+    """Weighting estimator of the target reward: source outcomes times target odds over arm probability."""
+    return _coefficients(dataset, nuisances, "ipw", "r")
 
 
 def coefficients_se_r(dataset: CombinedDataset, nuisances: NuisanceSet) -> RewardCoefficients:
     """Efficient (doubly robust) estimator of the target reward.
 
-    Combines the regression terms on target rows with weighted outcome
-    residuals on source rows; reduces exactly to the direct estimator when all
-    residuals vanish and to the weighting estimator when both surfaces are 0.
+    The direct terms plus weighted outcome residuals: equals the direct
+    estimator when all residuals vanish and the weighting estimator when both
+    surfaces are 0.
     """
-    v = _eval_values(dataset, nuisances)
-    q = dataset.source_fraction
-    g, arm, y = _source_arrays(dataset)
-    tgt = dataset.target_mask
-    w = (1.0 - v.s) / v.s
-    on = g * arm * (y - v.mu1) * w / (v.e1 * (1.0 - q))
-    off = g * (1.0 - arm) * (y - v.mu0) * w / ((1.0 - v.e1) * (1.0 - q))
-    a = np.where(tgt, (v.mu1 - v.mu0) / (1.0 - q), on - off)
-    b = np.where(tgt, v.mu0 / (1.0 - q), off)
-    return RewardCoefficients(a=a, b=b, center_weight=_center_r(dataset), kind="se", estimand="r")
+    return _coefficients(dataset, nuisances, "se", "r")
 
 
 def coefficients_se_v(dataset: CombinedDataset, nuisances: NuisanceSet) -> RewardCoefficients:
-    """Efficient estimator of the reward over the entire population.
-
-    Every row contributes the regression terms; source rows add residual
-    corrections weighted by 1/s(x).
-    """
-    v = _eval_values(dataset, nuisances)
-    g, arm, y = _source_arrays(dataset)
-    on = g * arm * (y - v.mu1) / (v.e1 * v.s)
-    off = g * (1.0 - arm) * (y - v.mu0) / ((1.0 - v.e1) * v.s)
-    a = (v.mu1 - v.mu0) + on - off
-    b = v.mu0 + off
-    return RewardCoefficients(a=a, b=b, center_weight=np.ones(dataset.n), kind="se", estimand="v")
-
-
-def _center_r(dataset: CombinedDataset) -> np.ndarray:
-    q = dataset.source_fraction
-    return dataset.target_mask.astype(float) / (1.0 - q)
+    """Efficient estimator of the reward over the entire population: surfaces plus residuals over s."""
+    return _coefficients(dataset, nuisances, "se", "v")
 
 
 _BUILDERS = {
@@ -197,9 +175,8 @@ def bias_diagnostic(
     correct. Returns the absolute value unless ``signed``.
     """
     pi = np.asarray(policy_values, dtype=float)
-    rows = np.arange(dataset.n)
-    t = true_nuisances.values(dataset.covariates, rows)
-    f = fitted_nuisances.values(dataset.covariates, rows)
+    t = true_nuisances.values(dataset.covariates)
+    f = fitted_nuisances.values(dataset.covariates)
     q = dataset.source_fraction
     e0_t, e0_f = 1.0 - t.e1, 1.0 - f.e1
     term1 = pi * (t.mu1 - f.mu1) / (1.0 - q) * (t.s * t.e1 * (1.0 - f.s) - f.s * f.e1 * (1.0 - t.s)) / (f.e1 * f.s)
@@ -227,22 +204,15 @@ def generalization_bound(
 ) -> BoundReport:
     """Finite-class deviation bound for the efficient reward estimate.
 
-    Evaluates sqrt(log(2|Pi|/eta) / (2 n^2) * sum_i r_i^2) where r_i collects
-    the weighted outcome residual of source row i; target rows carry no
-    outcome and contribute zero.
+    Evaluates sqrt(log(2|Pi|/eta) / (2 n^2) * sum_i r_i^2) where r_i is the
+    weighted outcome residual of source row i, its efficient coefficient a_i;
+    target rows carry no outcome and contribute zero.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
     if policy_class_size < 1:
         raise ValueError("policy_class_size must be >= 1")
-    v = _eval_values(dataset, nuisances)
-    q = dataset.source_fraction
-    src = dataset.source_mask
-    arm = dataset.treatment[src]
-    resid = dataset.outcome[src] - np.where(arm == 1, v.mu1[src], v.mu0[src])
-    e_arm = np.where(arm == 1, v.e1[src], 1.0 - v.e1[src])
-    s = v.s[src]
+    residuals = coefficients_se_r(dataset, nuisances).a[dataset.source_mask]
     n = dataset.n
-    total = np.sum(resid**2 * (1.0 - s) ** 2 / ((1.0 - q) ** 2 * e_arm**2 * s**2))
-    term = float(np.sqrt(np.log(2.0 * policy_class_size / eta) / (2.0 * n * n) * total))
+    term = float(np.sqrt(np.log(2.0 * policy_class_size / eta) / (2.0 * n * n) * np.sum(residuals**2)))
     return BoundReport(eta=eta, policy_class_size=policy_class_size, bound_term=term, bias_diagnostic=bias)

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CombinedDataset
 from .estimators import RewardEstimate, bias_diagnostic, estimate, generalization_bound, reward_coefficients
 from .features import FeatureMap
 from .nuisance import FitError, NuisanceConfig, fit_nuisances
@@ -161,6 +160,12 @@ def run_replication(config: ExperimentConfig, replication: int, methods: tuple[s
     return record
 
 
+def _succeeded(record: dict, method: str) -> bool:
+    """Whether ``method`` ran to completion in a replication record."""
+    entry = record.get("methods", {}).get(method)
+    return bool(entry) and "error" not in entry
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     """Aggregated table over replications, JSON- and CSV-serializable."""
@@ -188,11 +193,7 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def metric_series(self, method: str, metric: str) -> np.ndarray:
-        values = [
-            rec["methods"][method]["metrics"][metric]
-            for rec in self.replications
-            if "methods" in rec and "error" not in rec["methods"].get(method, {"error": True})
-        ]
+        values = [rec["methods"][method]["metrics"][metric] for rec in self.replications if _succeeded(rec, method)]
         return np.asarray(values, dtype=float)
 
 
@@ -231,9 +232,9 @@ def run_table(
         series = {metric: [] for metric in METRIC_NAMES}
         estimates = []
         for rec in records:
-            entry = rec.get("methods", {}).get(method)
-            if not entry or "error" in entry:
+            if not _succeeded(rec, method):
                 continue
+            entry = rec["methods"][method]
             for metric in METRIC_NAMES:
                 series[metric].append(entry["metrics"][metric])
             estimates.append(entry["estimate"]["value"])
@@ -273,9 +274,7 @@ def run_table(
                         rec["methods"][baseline]["metrics"][metric],
                     )
                     for rec in records
-                    if "methods" in rec
-                    and "error" not in rec["methods"].get(method, {"error": True})
-                    and "error" not in rec["methods"].get(baseline, {"error": True})
+                    if _succeeded(rec, method) and _succeeded(rec, baseline)
                 ]
                 if len(pairs) < 2:
                     tests[metric] = None
@@ -309,11 +308,11 @@ def write_table_csv(report: ExperimentReport, path: str | Path) -> None:
         writer.writerow(["replication", "method", "metric", "value"])
         for rec in report.replications:
             for method in report.methods:
-                entry = rec.get("methods", {}).get(method)
-                if not entry or "error" in entry:
+                if not _succeeded(rec, method):
                     continue
+                metrics = rec["methods"][method]["metrics"]
                 for metric in METRIC_NAMES:
-                    writer.writerow([rec["replication"], method, metric, repr(entry["metrics"][metric])])
+                    writer.writerow([rec["replication"], method, metric, repr(metrics[metric])])
 
 
 SWEEP_KINDS = ("shift", "treatment")

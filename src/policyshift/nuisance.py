@@ -9,12 +9,12 @@ ridge-penalized logistic regression via iteratively reweighted least squares
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from .data import CombinedDataset
+from .data import CombinedDataset, _readonly
 from .features import FeatureMap, sigmoid
 
 DEFAULT_CLIP = 0.01
@@ -188,9 +188,10 @@ class NuisanceValues:
 class NuisanceSet:
     """The four fitted (or known) nuisance functions plus clipping.
 
-    With cross-fitting, ``fold_sets[k]`` holds the models trained without fold
-    ``k`` and ``fold_assignment`` maps training rows to folds; predictions at a
-    training row then come from the complementary models.
+    ``bound`` pairs the covariates a set was fitted (or generated) on with its
+    values there; evaluating at exactly those covariates returns the stored
+    values, which are out-of-fold predictions when the set was cross-fitted.
+    Any other covariates are evaluated with the full-data functions.
     """
 
     mu0: Predictor
@@ -198,8 +199,7 @@ class NuisanceSet:
     e1: Predictor
     s: Predictor
     clip: float = DEFAULT_CLIP
-    fold_assignment: np.ndarray | None = None
-    fold_sets: tuple["NuisanceSet", ...] = field(default=())
+    bound: tuple[np.ndarray, NuisanceValues] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.clip < 0.5:
@@ -208,32 +208,30 @@ class NuisanceSet:
     def _clip(self, p: np.ndarray) -> np.ndarray:
         return np.clip(p, self.clip, 1.0 - self.clip)
 
-    def values(self, x: np.ndarray, row_indices: np.ndarray | None = None) -> NuisanceValues:
-        """Evaluate all four functions at covariate rows ``x``.
+    def values(self, x: np.ndarray) -> NuisanceValues:
+        """All four functions at covariate rows ``x``, or the bound values at the bound covariates.
 
-        ``row_indices`` identifies training rows when cross-fitting is active,
-        routing each row to the models fitted without its fold. Probabilities
-        are clipped into [clip, 1-clip]; regressions are returned as is.
+        Probabilities are clipped into [clip, 1-clip]; regressions are returned as is.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.fold_sets and row_indices is not None:
-            row_indices = np.asarray(row_indices)
-            out = {name: np.empty(x.shape[0]) for name in ("mu0", "mu1", "e1", "s")}
-            folds = self.fold_assignment[row_indices]
-            for k, sub in enumerate(self.fold_sets):
-                mask = folds == k
-                if not mask.any():
-                    continue
-                vals = sub.values(x[mask])
-                for name in out:
-                    out[name][mask] = getattr(vals, name)
-            return NuisanceValues(**out)
+        if self.bound is not None and np.array_equal(x, self.bound[0]):
+            return self.bound[1]
         return NuisanceValues(
             mu0=np.asarray(self.mu0(x), dtype=float),
             mu1=np.asarray(self.mu1(x), dtype=float),
             e1=self._clip(np.asarray(self.e1(x), dtype=float)),
             s=self._clip(np.asarray(self.s(x), dtype=float)),
         )
+
+    def bind(self, x: np.ndarray, values: NuisanceValues | None = None) -> "NuisanceSet":
+        """This set, returning ``values`` (default: its own values) at exactly covariates ``x``.
+
+        As with a dataset's arrays, ``x`` and the values are made read-only,
+        so writing into them raises instead of changing what is returned later.
+        """
+        x = _readonly(np.atleast_2d(np.asarray(x, dtype=float)))
+        v = self.values(x) if values is None else values
+        return replace(self, bound=(x, NuisanceValues(*(_readonly(a) for a in (v.mu0, v.mu1, v.e1, v.s)))))
 
     def coefficients(self) -> dict[str, list[float] | None]:
         """Fitted coefficient vectors where available (for report provenance)."""
@@ -242,13 +240,6 @@ class NuisanceSet:
             beta = getattr(getattr(self, name), "beta", None)
             out[name] = None if beta is None else [float(b) for b in beta]
         return out
-
-
-def predict_clipped(nuisances: NuisanceSet, x: np.ndarray, row_index: int | None = None) -> tuple[float, float, float, float]:
-    """Evaluate (mu0, mu1, e1, s) at one covariate vector, probabilities clipped."""
-    rows = None if row_index is None else np.array([row_index])
-    v = nuisances.values(np.atleast_2d(x), rows)
-    return float(v.mu0[0]), float(v.mu1[0]), float(v.e1[0]), float(v.s[0])
 
 
 @dataclass(frozen=True)
@@ -315,18 +306,14 @@ def fit_nuisances(dataset: CombinedDataset, config: NuisanceConfig | None = None
             clip=config.clip,
         )
 
+    x = dataset.covariates
     if config.folds <= 1:
-        return _fit_single(dataset)
-
+        return _fit_single(dataset).bind(x)
     assignment = crossfit_folds(dataset, config.folds)
-    fold_sets = tuple(_fit_single(_subset(dataset, assignment != k)) for k in range(config.folds))
-    full = _fit_single(dataset)
-    return NuisanceSet(
-        mu0=full.mu0,
-        mu1=full.mu1,
-        e1=full.e1,
-        s=full.s,
-        clip=config.clip,
-        fold_assignment=assignment,
-        fold_sets=fold_sets,
-    )
+    out = {name: np.empty(dataset.n) for name in ("mu0", "mu1", "e1", "s")}
+    for k in range(config.folds):
+        held_out = assignment == k
+        vals = _fit_single(_subset(dataset, ~held_out)).values(x[held_out])
+        for name in out:
+            out[name][held_out] = getattr(vals, name)
+    return _fit_single(dataset).bind(x, NuisanceValues(**out))

@@ -8,7 +8,7 @@ in the score coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,13 +66,6 @@ class OraclePolicy:
 
     def decide(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(self.cate(np.atleast_2d(x)), dtype=float) >= 0.0).astype(float)
-
-
-def oracle_decision(cate_value: float) -> int:
-    """Single-point oracle rule: treat when the effect is >= 0."""
-    if not np.isfinite(cate_value):
-        raise ValueError("conditional effect must be finite")
-    return 1 if cate_value >= 0.0 else 0
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,7 @@ def generate(config: SimConfig | None = None) -> SimulatedData:
     return SimulatedData(
         dataset=dataset,
         potential=PotentialOutcomes(y1=y1, y0=y0),
-        truth=truth,
+        truth=truth.bind(dataset.covariates),
         oracle=OraclePolicy(cate=conditional_effect),
         config=config,
     )

@@ -92,6 +92,22 @@ def test_ingest_schema_selects_covariates(tmp_path):
     assert ds.covariates[:, 0].tolist() == [1.5, 2.5]
 
 
+def test_ingest_rejects_duplicated_covariate_header(tmp_path):
+    # the second x1 column would otherwise be read as a copy of the first
+    path = tmp_path / "d.csv"
+    path.write_text("x1,x1,g,a,y\n1.0,9.0,1,1,2.5\n2.0,8.0,0,,\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"duplicated header columns \['x1'\]"):
+        ingest_csv(path)
+
+
+def test_ingest_rejects_duplicated_group_header(tmp_path):
+    # the first g column would otherwise win without a word
+    path = tmp_path / "d.csv"
+    path.write_text("x1,g,g,a,y\n1.0,1,0,1,2.5\n2.0,0,1,,\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"duplicated header columns \['g'\]"):
+        ingest_csv(path)
+
+
 def test_csv_round_trip_is_bit_identical(tmp_path):
     sim = generate(SimConfig(n_source=16, n_target=16, seed=11))
     path = tmp_path / "rt.csv"

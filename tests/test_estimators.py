@@ -44,6 +44,10 @@ def test_every_estimator_matches_brute_force_on_random_data():
             estimate(coefficients_se_v(ds, ns), pi).value,
             se_v_reference(ds, vals["mu0"], vals["mu1"], vals["e1"], vals["s"], pi),
         )
+        assert close(
+            generalization_bound(ds, ns, eta=0.05, policy_class_size=100).bound_term,
+            bound_reference(ds, vals["mu0"], vals["mu1"], vals["e1"], vals["s"], 0.05, 100),
+        )
 
 
 def test_coefficient_support_patterns():
@@ -120,7 +124,7 @@ def test_fitted_probabilities_respect_clipping_everywhere():
 
     sim = generate(SimConfig(n_source=128, n_target=512, seed=34, mu_target=(6.0, 7.0, 3.0)))
     nuisances = fit_nuisances(sim.dataset, NuisanceConfig(clip=0.05))
-    v = nuisances.values(sim.dataset.covariates, np.arange(sim.dataset.n))
+    v = nuisances.values(sim.dataset.covariates)
     for probs in (v.e1, v.s):
         assert probs.min() >= 0.05 and probs.max() <= 0.95
 
@@ -137,43 +141,47 @@ def test_se_v_is_finite_with_a_single_target_row():
     assert np.isfinite(est.value) and np.isfinite(est.std_error)
 
 
-def test_se_reduces_to_direct_when_residuals_vanish():
-    rng = np.random.default_rng(8)
-    ds, vals, pi = random_small_dataset(rng)
-    mu0 = np.array(vals["mu0"])
-    mu1 = np.array(vals["mu1"])
-    src = ds.source_mask
-    # force exact fits on source rows
-    mu1[src & (ds.treatment == 1)] = ds.outcome[src & (ds.treatment == 1)]
-    mu0[src & (ds.treatment == 0)] = ds.outcome[src & (ds.treatment == 0)]
-    ns = fixed_value_nuisances(mu0, mu1, vals["e1"], vals["s"])
-    se = coefficients_se_r(ds, ns)
-    direct = coefficients_direct_r(ds, ns)
-    tgt = ds.target_mask
-    assert np.array_equal(se.a[tgt], direct.a[tgt]) and np.array_equal(se.b[tgt], direct.b[tgt])
-    assert np.all(se.a[src] == 0) and np.all(se.b[src] == 0)
-    assert close(estimate(se, pi).value, estimate(direct, pi).value)
-
-
-def test_se_reduces_to_ipw_when_surfaces_are_zero():
-    rng = np.random.default_rng(9)
-    ds, vals, pi = random_small_dataset(rng)
-    ns = fixed_value_nuisances(np.zeros(ds.n), np.zeros(ds.n), vals["e1"], vals["s"])
-    se = estimate(coefficients_se_r(ds, ns), pi).value
-    ipw = estimate(coefficients_ipw_r(ds, ns), pi).value
-    assert close(se, ipw)
-
-
-def test_se_v_with_zero_residuals_is_regression_mean_over_all_rows():
-    rng = np.random.default_rng(10)
-    ds, vals, pi = random_small_dataset(rng)
+def exact_fit_surfaces(ds, vals):
+    """The drawn surfaces with every source row's own-arm value set to its outcome."""
     mu0, mu1 = np.array(vals["mu0"]), np.array(vals["mu1"])
     src = ds.source_mask
     mu1[src & (ds.treatment == 1)] = ds.outcome[src & (ds.treatment == 1)]
     mu0[src & (ds.treatment == 0)] = ds.outcome[src & (ds.treatment == 0)]
-    ns = fixed_value_nuisances(mu0, mu1, vals["e1"], vals["s"])
-    value = estimate(coefficients_se_v(ds, ns), pi).value
-    assert close(value, float(np.mean(pi * mu1 + (1 - pi) * mu0)))
+    return mu0, mu1
+
+
+def test_se_reduces_to_direct_when_residuals_vanish():
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        ds, vals, pi = random_small_dataset(rng)
+        mu0, mu1 = exact_fit_surfaces(ds, vals)
+        ns = fixed_value_nuisances(mu0, mu1, vals["e1"], vals["s"])
+        se = coefficients_se_r(ds, ns)
+        direct = coefficients_direct_r(ds, ns)
+        src, tgt = ds.source_mask, ds.target_mask
+        assert np.array_equal(se.a[tgt], direct.a[tgt]) and np.array_equal(se.b[tgt], direct.b[tgt])
+        assert np.all(se.a[src] == 0) and np.all(se.b[src] == 0)
+        assert close(estimate(se, pi).value, estimate(direct, pi).value)
+
+
+def test_se_reduces_to_ipw_when_surfaces_are_zero():
+    rng = np.random.default_rng(9)
+    for _ in range(60):
+        ds, vals, pi = random_small_dataset(rng)
+        ns = fixed_value_nuisances(np.zeros(ds.n), np.zeros(ds.n), vals["e1"], vals["s"])
+        se = coefficients_se_r(ds, ns)
+        ipw = coefficients_ipw_r(ds, ns)
+        assert np.array_equal(se.a, ipw.a) and np.array_equal(se.b, ipw.b)
+
+
+def test_se_v_with_zero_residuals_is_regression_mean_over_all_rows():
+    rng = np.random.default_rng(10)
+    for _ in range(60):
+        ds, vals, pi = random_small_dataset(rng)
+        mu0, mu1 = exact_fit_surfaces(ds, vals)
+        ns = fixed_value_nuisances(mu0, mu1, vals["e1"], vals["s"])
+        value = estimate(coefficients_se_v(ds, ns), pi).value
+        assert close(value, float(np.mean(pi * mu1 + (1 - pi) * mu0)))
 
 
 def test_estimate_constant_coefficients():
@@ -249,10 +257,7 @@ def test_bias_diagnostic_zero_when_either_side_correct():
 def test_bound_zero_when_residuals_vanish():
     rng = np.random.default_rng(17)
     ds, vals, _ = random_small_dataset(rng)
-    mu0, mu1 = np.array(vals["mu0"]), np.array(vals["mu1"])
-    src = ds.source_mask
-    mu1[src & (ds.treatment == 1)] = ds.outcome[src & (ds.treatment == 1)]
-    mu0[src & (ds.treatment == 0)] = ds.outcome[src & (ds.treatment == 0)]
+    mu0, mu1 = exact_fit_surfaces(ds, vals)
     ns = fixed_value_nuisances(mu0, mu1, vals["e1"], vals["s"])
     assert generalization_bound(ds, ns, eta=0.05, policy_class_size=100).bound_term == 0.0
 

@@ -14,7 +14,7 @@ from policyshift import (
     fit_ridge,
     fit_sampling_score,
     generate,
-    predict_clipped,
+    reward_coefficients,
 )
 from policyshift.nuisance import NuisanceSet, crossfit_folds
 from policyshift.simulate import SimConfig
@@ -212,8 +212,8 @@ def test_predict_clipped_floors_and_interior():
         s=lambda x: np.full(len(np.atleast_2d(x)), 0.5),
         clip=0.01,
     )
-    mu0, mu1, e1, s = predict_clipped(ns, np.array([0.0]))
-    assert e1 == 0.01 and s == 0.5 and (mu0, mu1) == (0.0, 1.0)
+    v = ns.values(np.array([0.0]))
+    assert (v.mu0[0], v.mu1[0], v.e1[0], v.s[0]) == (0.0, 1.0, 0.01, 0.5)
 
 
 def test_crossfit_prediction_comes_from_complementary_fold():
@@ -226,13 +226,33 @@ def test_crossfit_prediction_comes_from_complementary_fold():
     fitted = fit_nuisances(ds, config)
 
     assignment = crossfit_folds(ds, 2)
-    row = int(np.flatnonzero(assignment == 0)[0])
-    vals = fitted.values(ds.covariates, np.arange(ds.n))
+    vals = fitted.values(ds.covariates)
 
-    # hand refit: fold 0 rows must be predicted by models trained on fold 1 only
-    keep = assignment != 0
-    arm1 = keep & (group == 1) & (treatment == 1.0)
-    assert vals.mu1[row] == pytest.approx(outcome[arm1].mean(), abs=1e-12)
+    # hand refit: each row must be predicted by models trained on the other fold only
+    for row in range(ds.n):
+        keep = assignment != assignment[row]
+        src = keep & (group == 1)
+        assert vals.mu1[row] == pytest.approx(outcome[src & (treatment == 1.0)].mean(), abs=1e-12)
+        assert vals.mu0[row] == pytest.approx(outcome[src & (treatment == 0.0)].mean(), abs=1e-12)
+        assert vals.e1[row] == pytest.approx(treatment[src].mean(), abs=1e-8)
+        assert vals.s[row] == pytest.approx(group[keep].mean(), abs=1e-8)
+
+
+def test_crossfit_set_applied_to_other_data_uses_full_data_models():
+    # out-of-fold values belong to the training rows only; any other dataset,
+    # smaller or larger, gets the full-data models, exactly as without folds
+    training = generate(SimConfig(seed=5)).dataset
+    crossfit = fit_nuisances(training, NuisanceConfig(folds=5))
+    single = fit_nuisances(training, NuisanceConfig(folds=1))
+    for n_source, n_target in ((60, 240), (1024, 4096)):
+        other = generate(SimConfig(n_source=n_source, n_target=n_target, seed=6)).dataset
+        got = reward_coefficients(other, crossfit, "se", "r")
+        want = reward_coefficients(other, single, "se", "r")
+        assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+    # equal covariates, not the same array object, select the out-of-fold values
+    own = crossfit.values(training.covariates.copy())
+    assert not np.array_equal(own.mu1, single.values(training.covariates).mu1)
+    assert not own.mu1.flags.writeable
 
 
 def test_crossfit_folds_are_stratified():

@@ -9,7 +9,6 @@ from policyshift import (
     RewardCoefficients,
     SimConfig,
     learn_policy,
-    oracle_decision,
     policy_error,
     true_nuisances,
 )
@@ -23,11 +22,9 @@ def coeffs_from(a, b=None, estimand="r"):
 
 
 def test_oracle_decision_rule():
-    assert oracle_decision(0.0) == 1
-    assert oracle_decision(-0.1) == 0
-    assert oracle_decision(2.5) == 1
-    with pytest.raises(ValueError):
-        oracle_decision(float("nan"))
+    # ties treat: a zero effect counts as a reason to treat
+    oracle = OraclePolicy(cate=lambda x: x[:, 0])
+    assert oracle.decide(np.array([[0.0], [-0.1], [2.5]])).tolist() == [1.0, 0.0, 1.0]
 
 
 def test_oracle_decision_from_generator_truth():
@@ -37,7 +34,9 @@ def test_oracle_decision_from_generator_truth():
     assert by_hand == pytest.approx(conditional_effect(x[None, :])[0], rel=1e-12)
     truth = true_nuisances(SimConfig())
     tau = float(truth.mu1(x[None, :])[0] - truth.mu0(x[None, :])[0])
-    assert oracle_decision(tau) == (1 if by_hand >= 0 else 0) == 1
+    assert tau == pytest.approx(by_hand, rel=1e-12)
+    oracle = OraclePolicy(cate=conditional_effect)
+    assert oracle.decide(x)[0] == (1.0 if by_hand >= 0 else 0.0) == 1.0
 
 
 def test_positive_gains_learn_to_treat_everyone():
