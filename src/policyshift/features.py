@@ -53,11 +53,12 @@ class FeatureMap:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    With e = exp(-|z|), which never overflows, this is 1 / (1 + e) for z >= 0
+    and e / (1 + e) for z < 0: the same operations, bit for bit, as the usual
+    form for each sign.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)

@@ -1,10 +1,10 @@
 """Replication studies: single runs, aggregated tables and robustness sweeps.
 
 Every replication draws a fresh simulated dataset (seed = base seed +
-replication index), fits one shared set of nuisance models, then learns and
-evaluates a policy per estimation method. Results are collected in
-replication order regardless of worker scheduling, so reports are
-byte-identical for any worker count.
+replication index), fits one shared set of nuisance models, learns every
+estimation method's policy in one batched ascent, then evaluates each.
+Results are collected in replication order regardless of worker scheduling,
+so reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 from .estimators import RewardEstimate, bias_diagnostic, estimate, generalization_bound, reward_coefficients
 from .features import FeatureMap
 from .nuisance import FitError, NuisanceConfig, fit_nuisances
-from .policy import LearnerConfig, LinearPolicy, OraclePolicy, learn_policy, policy_error
+from .policy import LearnerConfig, LinearPolicy, OraclePolicy, learn_policies, policy_error
+from .policy import learn_policy  # noqa: F401 -- perfbench/tracer.py wraps harness.learn_policy by name
 from .simulate import SimConfig, SimulatedData, generate, shift_sweep_config
 from .stats import paired_t_test
 
@@ -137,13 +138,24 @@ def run_replication(config: ExperimentConfig, replication: int, methods: tuple[s
     learner = replace(config.learner, seed=seed)
     # finite-class size for the bound: grid discretization of the policy class
     policy_class_size = 10 ** FeatureMap(config.learner.feature_map, sim.dataset.p).p_out
+    coeffs, learned = {}, {}
     for method in methods:
         try:
-            coeffs = reward_coefficients(sim.dataset, nuisances, method, "r")
-            policy, trace = learn_policy(coeffs, sim.dataset.covariates, learner)
+            coeffs[method] = reward_coefficients(sim.dataset, nuisances, method, "r")
+        except (FitError, ValueError, FloatingPointError) as exc:
+            learned[method] = exc
+    try:
+        learned.update(zip(coeffs, learn_policies(list(coeffs.values()), sim.dataset.covariates, learner)))
+    except ValueError as exc:  # shared by every method: batch size or row alignment
+        learned.update(dict.fromkeys(coeffs, exc))
+    for method in methods:
+        try:
+            if isinstance(learned[method], Exception):
+                raise learned[method]
+            policy, trace = learned[method]
             metrics = evaluate_policy(policy, sim, config.welfare_scope)
             decisions = policy.decide(sim.dataset.covariates)
-            est = estimate(coeffs, decisions)
+            est = estimate(coeffs[method], decisions)
             diag = bias_diagnostic(sim.dataset, sim.truth, nuisances, decisions)
             bound = generalization_bound(sim.dataset, nuisances, BOUND_ETA, policy_class_size, bias=diag)
             record["methods"][method] = {

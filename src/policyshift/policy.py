@@ -9,7 +9,7 @@ in the score coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,7 +65,10 @@ class OraclePolicy:
     cate: Callable[[np.ndarray], np.ndarray]
 
     def decide(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(self.cate(np.atleast_2d(x)), dtype=float) >= 0.0).astype(float)
+        effect = np.asarray(self.cate(np.atleast_2d(x)), dtype=float)
+        if not np.all(np.isfinite(effect)):
+            raise ValueError("conditional effect must be finite")
+        return (effect >= 0.0).astype(float)
 
 
 @dataclass(frozen=True)
@@ -106,28 +109,38 @@ class TrainingTrace:
         return self.objectives[self.best_epoch]
 
 
-def learn_policy(
-    coeffs: RewardCoefficients,
+def learn_policies(
+    coeffs_seq: Sequence[RewardCoefficients],
     covariates: np.ndarray,
     config: LearnerConfig | None = None,
-) -> tuple[LinearPolicy, TrainingTrace]:
-    """Maximize the smoothed estimated reward over linear policies.
+) -> list[tuple[LinearPolicy, TrainingTrace] | FloatingPointError]:
+    """Maximize the smoothed estimated reward for several coefficient sets at once.
 
-    The objective is mean_i[sigmoid(theta . f_i / T) * a_i + b_i]; its exact
-    per-sample gradient a_i * sigmoid'(z_i) * f_i / T drives plain mini-batch
-    ascent from theta = 0 (the indifferent policy). The coefficients returned
-    are those of the epoch with the best full-data smoothed objective, the
-    initial point included.
+    Set j's objective is mean_i[sigmoid(theta_j . f_i / T) * a_ji + b_ji]; its
+    exact per-sample gradient a_ji * sigmoid'(z_ji) * f_i / T drives plain
+    mini-batch ascent from theta_j = 0 (the indifferent policy). The sets
+    share the covariates and the seed, hence the mini-batch order, so one loop
+    moves every theta_j. It uses only batched matrix-vector products, so each
+    theta_j sees exactly the arithmetic of a run on its own set: a
+    matrix-matrix product sums in another order, and the ascent amplifies
+    last-bit differences.
+
+    Each result is ``(policy, trace)``, with the coefficients of the epoch with
+    the best full-data smoothed objective, the initial point included; or, for
+    a set whose theta becomes non-finite during an epoch, the
+    ``FloatingPointError`` that stopped it, leaving the other sets unchanged.
+    Misaligned rows and a bad batch size raise ``ValueError`` for all sets.
     """
     config = config or LearnerConfig()
     X = np.atleast_2d(np.asarray(covariates, dtype=float))
-    if X.shape[0] != coeffs.n:
+    n = X.shape[0]
+    if any(coeffs.n != n for coeffs in coeffs_seq):
         raise ValueError("coefficients and covariates are not aligned")
-    if config.batch_size < 1 or config.batch_size > coeffs.n:
+    if config.batch_size < 1 or config.batch_size > n:
         raise ValueError("batch_size must lie in [1, n]")
     fmap = FeatureMap(config.feature_map, X.shape[1])
     F = fmap.expand(X)
-    n, k = F.shape
+    k = F.shape[1]
 
     shift = np.zeros(k)
     scale = np.ones(k)
@@ -137,9 +150,13 @@ def learn_policy(
         scale[1:] = np.where(sd > 0, sd, 1.0)
     Fs = (F - shift) / scale
 
-    a, b = coeffs.a, coeffs.b
+    # rows of theta, A and B belong to the sets still ascending, listed in `live`
+    m = len(coeffs_seq)
+    live = np.arange(m)
+    A = np.array([coeffs.a for coeffs in coeffs_seq], dtype=float).reshape(m, n)
+    B = np.array([coeffs.b for coeffs in coeffs_seq], dtype=float).reshape(m, n)
     rng = np.random.default_rng(config.seed)
-    theta = np.zeros(k)
+    theta = np.zeros((m, k))
 
     def temperature_at(epoch: int) -> float:
         if config.anneal_to is None or config.max_epochs <= 1:
@@ -147,35 +164,61 @@ def learn_policy(
         ratio = config.anneal_to / config.temperature
         return config.temperature * ratio ** (epoch / (config.max_epochs - 1))
 
-    def objective(t: np.ndarray, temp: float) -> float:
-        return float(np.mean(sigmoid(Fs @ t / temp) * a + b))
+    def objectives(theta: np.ndarray, A: np.ndarray, B: np.ndarray, temp: float) -> np.ndarray:
+        return np.mean(sigmoid((Fs @ theta[:, :, None])[..., 0] / temp) * A + B, axis=1)
 
-    trace = [objective(theta, temperature_at(0))]
-    best_obj, best_theta, best_epoch = trace[0], theta.copy(), 0
+    traces = [[float(obj)] for obj in objectives(theta, A, B, temperature_at(0))]
+    best_theta, best_epoch = theta.copy(), [0] * m
+    results: list = [None] * m
 
     for epoch in range(config.max_epochs):
+        if live.size == 0:
+            break
         temp = temperature_at(epoch)
         order = rng.permutation(n)
+        F_epoch, A_epoch = Fs[order], A[:, order]
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            z = Fs[idx] @ theta / temp
-            sz = sigmoid(z)
-            grad = (a[idx] * sz * (1.0 - sz)) @ Fs[idx] / (len(idx) * temp)
-            if not np.all(np.isfinite(grad)):
-                raise FloatingPointError("non-finite policy gradient; check reward coefficients")
+            Fb = F_epoch[start : start + config.batch_size]
+            sz = sigmoid((Fb @ theta[:, :, None])[..., 0] / temp)
+            w = A_epoch[:, start : start + config.batch_size] * sz * (1.0 - sz)
+            grad = (w[:, None, :] @ Fb)[:, 0, :] / (len(Fb) * temp)
             theta = theta + config.step_size * grad
-        obj = objective(theta, temp)
-        trace.append(obj)
-        if obj > best_obj:
-            best_obj, best_theta, best_epoch = obj, theta.copy(), epoch + 1
+        # a non-finite gradient leaves theta non-finite for good, so once per epoch suffices
+        finite = np.isfinite(theta).all(axis=1)
+        if not finite.all():
+            for j in live[~finite]:
+                results[j] = FloatingPointError("non-finite policy gradient; check reward coefficients")
+            live, theta, A, B = live[finite], theta[finite], A[finite], B[finite]
+        for row, (j, obj) in enumerate(zip(live, objectives(theta, A, B, temp))):
+            traces[j].append(float(obj))
+            if obj > traces[j][best_epoch[j]]:
+                best_theta[j], best_epoch[j] = theta[row], epoch + 1
 
-    # report theta in original feature coordinates
-    theta_raw = best_theta / scale
-    if k > 1:
-        theta_raw[0] = best_theta[0] - float(np.sum(best_theta[1:] * shift[1:] / scale[1:]))
     final_temp = temperature_at(max(config.max_epochs - 1, 0))
-    policy = LinearPolicy(theta=theta_raw, fmap=fmap, temperature=final_temp)
-    return policy, TrainingTrace(objectives=trace, best_epoch=best_epoch)
+    for j in live:
+        # report theta in original feature coordinates
+        theta_raw = best_theta[j] / scale
+        if k > 1:
+            theta_raw[0] = best_theta[j, 0] - float(np.sum(best_theta[j, 1:] * shift[1:] / scale[1:]))
+        policy = LinearPolicy(theta=theta_raw, fmap=fmap, temperature=final_temp)
+        results[j] = (policy, TrainingTrace(objectives=traces[j], best_epoch=best_epoch[j]))
+    return results
+
+
+def learn_policy(
+    coeffs: RewardCoefficients,
+    covariates: np.ndarray,
+    config: LearnerConfig | None = None,
+) -> tuple[LinearPolicy, TrainingTrace]:
+    """Maximize the smoothed estimated reward over linear policies.
+
+    ``learn_policies`` for one coefficient set; a non-finite gradient raises
+    ``FloatingPointError``.
+    """
+    (result,) = learn_policies([coeffs], covariates, config)
+    if isinstance(result, FloatingPointError):
+        raise result
+    return result
 
 
 def policy_error(policy: LinearPolicy | OraclePolicy, oracle: OraclePolicy, target_covariates: np.ndarray) -> float:

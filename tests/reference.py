@@ -2,7 +2,8 @@
 
 These translate the estimator definitions into plain scalar loops over rows,
 deliberately sharing no code with the package's vectorized coefficient path.
-They take raw nuisance value arrays, not fitted models.
+They take raw nuisance value arrays, not fitted models. The learner reference
+runs one coefficient set step by step, with the sign-masked sigmoid.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-from policyshift import CombinedDataset, NuisanceSet
+from policyshift import CombinedDataset, FeatureMap, NuisanceSet
 
 
 def direct_r_reference(ds: CombinedDataset, mu0, mu1, pi) -> float:
@@ -118,3 +119,64 @@ def random_small_dataset(rng: np.random.Generator, max_n: int = 12):
     }
     pi = rng.uniform(0.0, 1.0, size=n)
     return ds, vals, pi
+
+
+def masked_sigmoid(z) -> np.ndarray:
+    """The logistic function evaluated branch by branch under a sign mask."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def stepwise_learner(a, b, covariates, config) -> tuple[np.ndarray, list[float], int]:
+    """One coefficient set's mini-batch ascent, one gathered batch and one check per step.
+
+    Returns the reported theta (original feature coordinates), the objective
+    trace and the best epoch. Raises ``FloatingPointError`` at the first
+    non-finite gradient.
+    """
+    X = np.atleast_2d(np.asarray(covariates, dtype=float))
+    F = FeatureMap(config.feature_map, X.shape[1]).expand(X)
+    n, k = F.shape
+    shift, scale = np.zeros(k), np.ones(k)
+    if config.standardize and k > 1:
+        shift[1:] = F[:, 1:].mean(axis=0)
+        sd = F[:, 1:].std(axis=0)
+        scale[1:] = np.where(sd > 0, sd, 1.0)
+    Fs = (F - shift) / scale
+    rng = np.random.default_rng(config.seed)
+    theta = np.zeros(k)
+
+    def temperature_at(epoch):
+        if config.anneal_to is None or config.max_epochs <= 1:
+            return config.temperature
+        ratio = config.anneal_to / config.temperature
+        return config.temperature * ratio ** (epoch / (config.max_epochs - 1))
+
+    def objective(t, temp):
+        return float(np.mean(masked_sigmoid(Fs @ t / temp) * a + b))
+
+    trace = [objective(theta, temperature_at(0))]
+    best_obj, best_theta, best_epoch = trace[0], theta.copy(), 0
+    for epoch in range(config.max_epochs):
+        temp = temperature_at(epoch)
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            sz = masked_sigmoid(Fs[idx] @ theta / temp)
+            grad = (a[idx] * sz * (1.0 - sz)) @ Fs[idx] / (len(idx) * temp)
+            if not np.all(np.isfinite(grad)):
+                raise FloatingPointError("non-finite policy gradient; check reward coefficients")
+            theta = theta + config.step_size * grad
+        obj = objective(theta, temp)
+        trace.append(obj)
+        if obj > best_obj:
+            best_obj, best_theta, best_epoch = obj, theta.copy(), epoch + 1
+    theta_raw = best_theta / scale
+    if k > 1:
+        theta_raw[0] = best_theta[0] - float(np.sum(best_theta[1:] * shift[1:] / scale[1:]))
+    return theta_raw, trace, best_epoch

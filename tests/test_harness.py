@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from policyshift import (
     write_sweep_csv,
     write_table_csv,
 )
+from policyshift import harness
 from policyshift.features import FeatureMap
 from policyshift.harness import METRIC_NAMES
 from policyshift.policy import LinearPolicy
@@ -61,6 +65,38 @@ def test_run_replication_records_all_methods():
         assert set(entry["metrics"]) == set(METRIC_NAMES)
         assert len(entry["theta"]) == 4
     assert set(record["nuisance_coefficients"]) == {"mu0", "mu1", "e1", "s"}
+
+
+def test_a_method_with_non_finite_coefficients_fails_alone(monkeypatch):
+    config = small_config(seed=5)
+    clean = run_replication(config, replication=3)
+    build = harness.reward_coefficients
+
+    def nan_for_ipw(dataset, nuisances, method, estimand):
+        coeffs = build(dataset, nuisances, method, estimand)
+        return replace(coeffs, a=np.full(coeffs.n, np.nan)) if method == "ipw" else coeffs
+
+    monkeypatch.setattr(harness, "reward_coefficients", nan_for_ipw)
+    record = run_replication(config, replication=3)
+    assert record["methods"]["ipw"] == {"error": "FloatingPointError: non-finite policy gradient; check reward coefficients"}
+    for method in ("direct", "se"):
+        assert json.dumps(record["methods"][method]) == json.dumps(clean["methods"][method])
+
+
+def test_shared_learner_errors_are_recorded_for_every_method(monkeypatch):
+    too_big = replace(small_config(seed=5), learner=LearnerConfig(max_epochs=2, batch_size=10_000))
+    record = run_replication(too_big, replication=0)
+    assert record["methods"] == {m: {"error": "ValueError: batch_size must lie in [1, n]"} for m in ("direct", "ipw", "se")}
+    build = harness.reward_coefficients
+
+    def truncated(dataset, nuisances, method, estimand):
+        coeffs = build(dataset, nuisances, method, estimand)
+        return replace(coeffs, a=coeffs.a[1:], b=coeffs.b[1:])
+
+    monkeypatch.setattr(harness, "reward_coefficients", truncated)
+    record = run_replication(small_config(seed=5), replication=0)
+    expected = {"error": "ValueError: coefficients and covariates are not aligned"}
+    assert record["methods"] == {m: expected for m in ("direct", "ipw", "se")}
 
 
 def test_run_table_aggregates_are_recomputable():

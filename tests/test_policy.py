@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from policyshift import (
     FeatureMap,
     LearnerConfig,
     LinearPolicy,
+    NuisanceConfig,
     OraclePolicy,
     RewardCoefficients,
     SimConfig,
+    fit_nuisances,
+    generate,
+    learn_policies,
     learn_policy,
     policy_error,
+    reward_coefficients,
     true_nuisances,
 )
 from policyshift.simulate import conditional_effect, feature_transform
+from reference import stepwise_learner
 
 
 def coeffs_from(a, b=None, estimand="r"):
@@ -25,6 +33,14 @@ def test_oracle_decision_rule():
     # ties treat: a zero effect counts as a reason to treat
     oracle = OraclePolicy(cate=lambda x: x[:, 0])
     assert oracle.decide(np.array([[0.0], [-0.1], [2.5]])).tolist() == [1.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_oracle_rejects_a_non_finite_effect(bad):
+    oracle = OraclePolicy(cate=lambda x: np.where(x[:, 0] > 1.0, bad, x[:, 0]))
+    assert oracle.decide(np.array([[0.5], [-0.5]])).tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError, match="conditional effect must be finite"):
+        oracle.decide(np.array([[0.5], [2.0]]))
 
 
 def test_oracle_decision_from_generator_truth():
@@ -134,3 +150,104 @@ def test_policy_error_identity_and_complement():
     assert policy_error(disagree, oracle, x) == 1.0
     with pytest.raises(ValueError, match="nonempty"):
         policy_error(agree, oracle, np.zeros((0, 1)))
+
+
+def same_result(result, other):
+    (policy, trace), (policy_o, trace_o) = result, other
+    return (
+        np.array_equal(policy.theta, policy_o.theta)
+        and np.array_equal(trace.objectives, trace_o.objectives)
+        and trace.best_epoch == trace_o.best_epoch
+        and policy.temperature == policy_o.temperature
+    )
+
+
+def matches_stepwise(result, coeffs, x, config):
+    policy, trace = result
+    theta, objectives, best_epoch = stepwise_learner(coeffs.a, coeffs.b, x, config)
+    return np.array_equal(policy.theta, theta) and trace.objectives == objectives and trace.best_epoch == best_epoch
+
+
+def default_replication_inputs(seed):
+    """Covariates and direct/ipw/se coefficients of a default replication with this seed."""
+    sim = generate(SimConfig(seed=seed))
+    nuisances = fit_nuisances(sim.dataset, NuisanceConfig())
+    coeffs = [reward_coefficients(sim.dataset, nuisances, method, "r") for method in ("direct", "ipw", "se")]
+    return sim.dataset.covariates, coeffs
+
+
+# on seed 2000025 a matrix-matrix fusion of the methods moves the se theta by 0.65
+@pytest.mark.parametrize("seed", [2_000_025, 2_000_000, 2_000_101])
+def test_batched_learner_is_bitwise_separate_runs_on_default_replications(seed):
+    x, coeffs = default_replication_inputs(seed)
+    config = LearnerConfig(seed=seed)
+    batched = learn_policies(coeffs, x, config)
+    for coeffs_j, result in zip(coeffs, batched):
+        assert same_result(result, learn_policy(coeffs_j, x, config))
+    if seed == 2_000_025:
+        assert all(matches_stepwise(result, c, x, config) for c, result in zip(coeffs, batched))
+
+
+@pytest.mark.parametrize(
+    "n,p,config",
+    [
+        (203, 2, LearnerConfig(max_epochs=25, batch_size=16, anneal_to=0.05, seed=1)),
+        (150, 3, LearnerConfig(max_epochs=20, batch_size=64, standardize=False, step_size=0.2, seed=2)),
+        (97, 2, LearnerConfig(feature_map="quadratic", max_epochs=15, batch_size=10, temperature=0.5, seed=3)),
+        (40, 1, LearnerConfig(feature_map="intercept", max_epochs=10, batch_size=40, seed=4)),
+    ],
+)
+def test_batched_learner_matches_the_stepwise_reference_on_small_cases(n, p, config):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, p)) * rng.uniform(0.5, 3.0, size=p) + rng.normal(size=p)
+    coeffs = [coeffs_from(rng.normal(scale=s, size=n), rng.normal(size=n)) for s in (1.0, 5.0, 30.0)]
+    batched = learn_policies(coeffs, x, config)
+    for coeffs_j, result in zip(coeffs, batched):
+        assert matches_stepwise(result, coeffs_j, x, config)
+        assert same_result(result, learn_policy(coeffs_j, x, config))
+
+
+def test_a_non_finite_set_fails_alone():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(90, 2))
+    clean = [coeffs_from(rng.normal(size=90), rng.normal(size=90)) for _ in range(2)]
+    bad_a = rng.normal(size=90)
+    bad_a[17] = np.nan
+    config = LearnerConfig(max_epochs=12, batch_size=32, seed=14)
+    expected = learn_policies(clean, x, config)
+    results = learn_policies([clean[0], coeffs_from(bad_a), clean[1]], x, config)
+    assert isinstance(results[1], FloatingPointError)
+    assert str(results[1]) == "non-finite policy gradient; check reward coefficients"
+    assert same_result(results[0], expected[0]) and same_result(results[2], expected[1])
+    with pytest.raises(FloatingPointError, match="non-finite policy gradient"):
+        learn_policy(coeffs_from(bad_a), x, config)
+    with pytest.raises(FloatingPointError, match="non-finite policy gradient"):
+        stepwise_learner(bad_a, np.zeros(90), x, config)
+
+
+def test_shared_learner_errors_raise_for_every_set():
+    x = np.zeros((10, 1))
+    with pytest.raises(ValueError, match="aligned"):
+        learn_policies([coeffs_from(np.ones(10)), coeffs_from(np.ones(9))], x, LearnerConfig())
+    with pytest.raises(ValueError, match="batch_size"):
+        learn_policies([coeffs_from(np.ones(10))] * 2, x, LearnerConfig(batch_size=11))
+    assert learn_policies([], x, LearnerConfig(batch_size=4)) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    n=st.integers(2, 40),
+    batch_fraction=st.floats(0.0, 1.0),
+    max_epochs=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_trace_has_one_entry_per_epoch_and_never_ends_below_its_start(m, n, batch_fraction, max_epochs, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2))
+    coeffs = [coeffs_from(rng.normal(scale=10.0, size=n), rng.normal(size=n)) for _ in range(m)]
+    config = LearnerConfig(max_epochs=max_epochs, batch_size=1 + int(batch_fraction * (n - 1)), seed=seed)
+    for _, trace in learn_policies(coeffs, x, config):
+        assert len(trace.objectives) == max_epochs + 1
+        assert trace.best_objective >= trace.initial_objective
+        assert trace.best_objective == max(trace.objectives)
