@@ -109,9 +109,11 @@ def fit_logistic(
     """Maximize the ridge-penalized Bernoulli log-likelihood by IRLS.
 
     Newton steps are halved whenever the penalized log-likelihood would
-    decrease, so the objective is non-decreasing across iterations. Stops when
-    the largest absolute coefficient update falls below ``tol``. If ``trace``
-    is a list, the objective after every iteration is appended to it.
+    decrease, so the objective is non-decreasing across iterations; when no
+    step down to a scale of 1e-8 keeps it, the current coefficients are
+    returned. Stops when the largest absolute coefficient update falls below
+    ``tol``. If ``trace`` is a list, the objective after every iteration is
+    appended to it.
     """
     y = np.asarray(labels, dtype=float)
     if set(np.unique(y)) - {0.0, 1.0}:
@@ -135,8 +137,10 @@ def fit_logistic(
         while True:
             candidate = beta + scale * step
             new_obj = _penalized_loglik(Phi, y, candidate, ridge)
-            if new_obj >= obj - 1e-12 or scale < 1e-8:
+            if new_obj >= obj - 1e-12:
                 break
+            if scale < 1e-8:
+                return LogisticModel(beta=beta, fmap=fmap)  # every step goes downhill
             scale *= 0.5
         delta = float(np.max(np.abs(scale * step)))
         beta = beta + scale * step

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CombinedDataset, PotentialOutcomes
+from .data import CombinedDataset, PotentialOutcomes, _readonly
 from .features import sigmoid
 from .nuisance import NuisanceSet
 from .policy import LinearPolicy, OraclePolicy
@@ -226,6 +226,43 @@ def shift_sweep_config(base: SimConfig, chebyshev_distance: float) -> SimConfig:
     return replace(base, mu_target=mu)
 
 
+# The last draws of population_reward with both surfaces there: (key, (X, mu1, mu0)) or None.
+_population_cache: tuple[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+
+
+def _population_draws(
+    config: SimConfig, n_src: int, n_draws: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only draws ``X`` of ``population_reward`` and both outcome surfaces at them.
+
+    ``n_src`` rows come from the source Gaussian, then ``n_draws - n_src``
+    from the target Gaussian, all from one generator seeded with ``seed``.
+    The last result is kept and returned again while the key matches: the
+    seed, the row counts and the float64 bytes of each sampled mean and
+    covariance (not the config, which may hold unhashable lists). A miss
+    drops the kept arrays before drawing, so at most one set is held. The
+    entry is read once, so a concurrent call never gets another key's arrays.
+    """
+    global _population_cache
+    parts = [(n_src, config.mu_source, config.cov_source)] if n_src else []
+    parts.append((n_draws - n_src, config.mu_target, config.cov_target))
+    key = (seed,) + tuple(
+        (n, np.asarray(mu, dtype=float).tobytes(), np.asarray(cov, dtype=float).tobytes()) for n, mu, cov in parts
+    )
+    entry = _population_cache
+    if entry is None or entry[0] != key:
+        _population_cache = None
+        rng = np.random.default_rng(seed)
+        draws = []
+        for n, mu, cov in parts:
+            chol = np.linalg.cholesky(np.asarray(cov, dtype=float))
+            draws.append(rng.standard_normal((n, 3)) @ chol.T + np.asarray(mu))
+        X = np.vstack(draws)
+        entry = (key, tuple(_readonly(a) for a in (X, outcome_surface_treated(X), outcome_surface_control(X))))
+        _population_cache = entry
+    return entry[1]
+
+
 def population_reward(
     config: SimConfig,
     policy: LinearPolicy | OraclePolicy,
@@ -237,20 +274,18 @@ def population_reward(
 
     ``scope`` picks the target domain or the q-weighted mixture of both. Uses
     the noise-free outcome surfaces, so only covariate sampling error remains.
+    The draws and surfaces of the last call are reused, bit for bit, when the
+    next call samples the same points; the covariates passed to
+    ``policy.decide`` are read-only.
     """
-    rng = np.random.default_rng(seed)
     if scope not in ("target", "entire"):
         raise ValueError("scope must be 'target' or 'entire'")
+    if n_draws < 1:
+        raise ValueError("n_draws must be at least 1")
     n_src = 0 if scope == "target" else int(round(n_draws * config.source_fraction))
-    parts = []
-    if n_src:
-        chol = np.linalg.cholesky(np.asarray(config.cov_source, dtype=float))
-        parts.append(rng.standard_normal((n_src, 3)) @ chol.T + np.asarray(config.mu_source))
-    chol = np.linalg.cholesky(np.asarray(config.cov_target, dtype=float))
-    parts.append(rng.standard_normal((n_draws - n_src, 3)) @ chol.T + np.asarray(config.mu_target))
-    X = np.vstack(parts)
+    X, mu1, mu0 = _population_draws(config, n_src, n_draws, seed)
     decisions = policy.decide(X)
-    values = decisions * outcome_surface_treated(X) + (1.0 - decisions) * outcome_surface_control(X)
+    values = decisions * mu1 + (1.0 - decisions) * mu0
     return float(values.mean())
 
 

@@ -3,7 +3,8 @@
 These translate the estimator definitions into plain scalar loops over rows,
 deliberately sharing no code with the package's vectorized coefficient path.
 They take raw nuisance value arrays, not fitted models. The learner reference
-runs one coefficient set step by step, with the sign-masked sigmoid.
+runs one coefficient set step by step, with the sign-masked sigmoid. The
+population-reward reference draws its points anew on every call.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from policyshift import CombinedDataset, FeatureMap, NuisanceSet
+from policyshift.simulate import outcome_surface_control, outcome_surface_treated
 
 
 def direct_r_reference(ds: CombinedDataset, mu0, mu1, pi) -> float:
@@ -180,3 +182,21 @@ def stepwise_learner(a, b, covariates, config) -> tuple[np.ndarray, list[float],
     if k > 1:
         theta_raw[0] = best_theta[0] - float(np.sum(best_theta[1:] * shift[1:] / scale[1:]))
     return theta_raw, trace, best_epoch
+
+
+def population_reward_reference(config, policy, scope="target", n_draws=200_000, seed=20_000_000) -> float:
+    """Monte Carlo true reward of a policy, drawing its covariates on every call."""
+    rng = np.random.default_rng(seed)
+    if scope not in ("target", "entire"):
+        raise ValueError("scope must be 'target' or 'entire'")
+    n_src = 0 if scope == "target" else int(round(n_draws * config.source_fraction))
+    parts = []
+    if n_src:
+        chol = np.linalg.cholesky(np.asarray(config.cov_source, dtype=float))
+        parts.append(rng.standard_normal((n_src, 3)) @ chol.T + np.asarray(config.mu_source))
+    chol = np.linalg.cholesky(np.asarray(config.cov_target, dtype=float))
+    parts.append(rng.standard_normal((n_draws - n_src, 3)) @ chol.T + np.asarray(config.mu_target))
+    X = np.vstack(parts)
+    decisions = policy.decide(X)
+    values = decisions * outcome_surface_treated(X) + (1.0 - decisions) * outcome_surface_control(X)
+    return float(values.mean())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from policyshift import (
     CombinedDataset,
@@ -205,6 +207,24 @@ def test_estimate_is_linear_in_policy():
     forward = estimate(coeffs, pi).value
     flipped = estimate(coeffs, 1.0 - pi).value
     assert close(forward - flipped, float(np.mean(coeffs.a * (2 * pi - 1))), tol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_estimate_is_invariant_to_row_permutation(seed):
+    rng = np.random.default_rng(seed)
+    ds, vals, pi = random_small_dataset(rng, max_n=40)
+    perm = rng.permutation(ds.n)
+    shuffled = CombinedDataset(
+        covariates=ds.covariates[perm], group=ds.group[perm], treatment=ds.treatment[perm], outcome=ds.outcome[perm]
+    )
+    nuis = fixed_value_nuisances(**vals)
+    nuis_shuffled = fixed_value_nuisances(**{name: v[perm] for name, v in vals.items()})
+    for kind, estimand in (("direct", "r"), ("ipw", "r"), ("se", "r"), ("se", "v")):
+        before = estimate(reward_coefficients(ds, nuis, kind, estimand), pi)
+        after = estimate(reward_coefficients(shuffled, nuis_shuffled, kind, estimand), pi[perm])
+        assert close(after.value, before.value)
+        assert close(after.std_error, before.std_error)
 
 
 def test_estimate_rejects_length_mismatch():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from policyshift import (
@@ -16,6 +18,7 @@ from policyshift import (
     generate,
     reward_coefficients,
 )
+from policyshift import nuisance
 from policyshift.nuisance import NuisanceSet, crossfit_folds
 from policyshift.simulate import SimConfig
 
@@ -137,6 +140,20 @@ def test_irls_objective_is_nondecreasing():
     fit_logistic(x, y, FeatureMap("quadratic", 3), ridge=0.01, trace=trace)
     diffs = np.diff(np.asarray(trace))
     assert np.all(diffs >= -1e-10)
+
+
+def test_irls_keeps_its_coefficients_when_every_step_goes_downhill(monkeypatch):
+    def falls_with_size(Phi, y, beta, ridge):
+        return -float(np.sum(np.abs(beta)))
+
+    monkeypatch.setattr(nuisance, "_penalized_loglik", falls_with_size)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(60, 2))
+    y = (rng.random(60) < 0.3).astype(float)
+    trace: list[float] = []
+    model = fit_logistic(x, y, FeatureMap("raw", 2), ridge=0.01, trace=trace)
+    assert np.array_equal(model.beta, np.zeros(3))
+    assert trace == [0.0]
 
 
 def test_propensity_near_half_under_fair_coin():
@@ -262,6 +279,31 @@ def test_crossfit_folds_are_stratified():
     for k in (0, 1):
         assert np.sum(src_treated & (assignment == k)) >= 1
         assert np.sum(sim.dataset.target_mask & (assignment == k)) >= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    treated=st.integers(0, 30),
+    control=st.integers(0, 30),
+    target=st.integers(1, 30),
+    folds=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_crossfit_folds_balance_every_stratum(treated, control, target, folds, seed):
+    treatment = np.array([1.0] * treated + [0.0] * control + [np.nan] * target)
+    perm = np.random.default_rng(seed).permutation(len(treatment))
+    group = np.isfinite(treatment).astype(int)
+    ds = CombinedDataset(
+        covariates=np.zeros((len(treatment), 1)),
+        group=group[perm],
+        treatment=treatment[perm],
+        outcome=np.where(group == 1, 0.0, np.nan)[perm],
+    )
+    assignment = crossfit_folds(ds, folds)
+    assert set(np.unique(assignment)) <= set(range(folds))
+    for stratum in (ds.treatment == 1, ds.treatment == 0, ds.target_mask):
+        counts = np.bincount(assignment[stratum], minlength=folds)
+        assert counts.max() - counts.min() <= 1
 
 
 def test_clip_must_be_in_range():

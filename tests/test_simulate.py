@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,11 @@ from policyshift import (
     true_nuisances,
     write_truth_csv,
 )
-from policyshift.policy import LinearPolicy
+from policyshift import simulate
+from policyshift.policy import LinearPolicy, OraclePolicy
 from policyshift.features import FeatureMap
+
+from reference import population_reward_reference
 
 
 def test_feature_transform_fixed_points():
@@ -131,6 +136,84 @@ def test_population_reward_scopes():
     assert r_entire != r_target
     with pytest.raises(ValueError, match="scope"):
         population_reward(config, treat_all, scope="both")
+
+
+RAW_POLICY = LinearPolicy(theta=np.array([0.3, -0.1, 0.2, -0.05]), fmap=FeatureMap("raw", 3))
+ORACLE = OraclePolicy(cate=simulate.conditional_effect)
+
+
+def test_population_reward_needs_at_least_one_draw():
+    config = SimConfig()
+    population_reward(config, RAW_POLICY, n_draws=1_000)
+    kept = simulate._population_cache
+    for n_draws in (0, -5):
+        with pytest.raises(ValueError, match="n_draws"):
+            population_reward(config, RAW_POLICY, n_draws=n_draws)
+    assert simulate._population_cache is kept
+
+
+def test_population_reward_never_reuses_draws_of_another_call():
+    base = SimConfig()
+    wide = replace(base, cov_target=tuple(tuple(2.0 * v for v in row) for row in base.cov_target))
+    each = (base, "entire", 3_001, 2)
+    variants = [
+        (base, "target", 3_001, 2),
+        (replace(base, n_source=100), "target", 3_001, 2),
+        (base, "entire", 3_001, 3),
+        (base, "entire", 3_000, 2),
+        (replace(base, n_source=100), "entire", 3_001, 2),
+        (replace(base, mu_source=(9.0, 4.0, 6.0)), "entire", 3_001, 2),
+        (replace(base, cov_source=base.cov_target), "entire", 3_001, 2),
+        (shift_sweep_config(base, 2.0), "entire", 3_001, 2),
+        (wide, "entire", 3_001, 2),
+        (replace(base, seed=5, noise_sd=3.0, beta_treatment=0.5), "entire", 3_001, 2),
+    ]
+    calls = [call for variant in variants for call in (each, variant)] + [each]
+    for config, scope, n_draws, seed in calls:
+        for policy in (RAW_POLICY, ORACLE):
+            expected = population_reward_reference(config, policy, scope, n_draws, seed)
+            assert population_reward(config, policy, scope, n_draws, seed) == expected
+
+
+def test_population_reward_passes_the_same_read_only_draws_while_the_key_holds():
+    seen = []
+
+    class Recording:
+        def decide(self, x):
+            seen.append(x)
+            return np.ones(len(x))
+
+    base = SimConfig()
+    population_reward(base, Recording(), "entire", 2_000, 3)
+    population_reward(replace(base, seed=9, noise_sd=2.0, beta_treatment=0.5), Recording(), "entire", 2_000, 3)
+    population_reward(base, Recording(), "entire", 2_000, 4)
+    assert seen[0] is seen[1]
+    assert seen[2] is not seen[1]
+    assert not any(x.flags.writeable for x in seen)
+
+
+def test_population_reward_is_the_same_for_list_array_and_tuple_configs():
+    tuple_config = SimConfig(seed=4)
+    cov = [list(row) for row in tuple_config.cov_target]
+    list_config = SimConfig(mu_target=[9.0, 4.0, 6.0], cov_target=cov, seed=4)
+    array_config = SimConfig(mu_target=np.array([9.0, 4.0, 6.0]), cov_target=np.array(cov), seed=4)
+    expected = population_reward_reference(tuple_config, RAW_POLICY, "entire", 4_000)
+    for config in (list_config, tuple_config, array_config, list_config):
+        assert population_reward(config, RAW_POLICY, "entire", 4_000) == expected
+
+
+def test_a_policy_writing_into_the_draws_is_refused_and_leaves_them_intact():
+    class Writing:
+        def decide(self, x):
+            x[0, 0] = 0.0
+            return np.ones(len(x))
+
+    config = SimConfig()
+    expected = population_reward_reference(config, RAW_POLICY, "target", 2_000, 8)
+    population_reward(config, RAW_POLICY, "target", 2_000, 8)
+    with pytest.raises(ValueError, match="read-only"):
+        population_reward(config, Writing(), "target", 2_000, 8)
+    assert population_reward(config, RAW_POLICY, "target", 2_000, 8) == expected
 
 
 def test_truth_sidecar_round_trip(tmp_path):
