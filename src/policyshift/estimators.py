@@ -91,47 +91,16 @@ def _coefficients(dataset: CombinedDataset, nuisances: NuisanceSet, kind: str, e
     return RewardCoefficients(a=a, b=b, center_weight=center_weight, kind=kind, estimand=estimand)
 
 
-def coefficients_direct_r(dataset: CombinedDataset, nuisances: NuisanceSet) -> RewardCoefficients:
-    """Outcome-regression estimator of the target reward: fitted surfaces on target rows."""
-    return _coefficients(dataset, nuisances, "direct", "r")
-
-
-def coefficients_ipw_r(dataset: CombinedDataset, nuisances: NuisanceSet) -> RewardCoefficients:
-    """Weighting estimator of the target reward: source outcomes times target odds over arm probability."""
-    return _coefficients(dataset, nuisances, "ipw", "r")
-
-
-def coefficients_se_r(dataset: CombinedDataset, nuisances: NuisanceSet) -> RewardCoefficients:
-    """Efficient (doubly robust) estimator of the target reward.
-
-    The direct terms plus weighted outcome residuals: equals the direct
-    estimator when all residuals vanish and the weighting estimator when both
-    surfaces are 0.
-    """
-    return _coefficients(dataset, nuisances, "se", "r")
-
-
-def coefficients_se_v(dataset: CombinedDataset, nuisances: NuisanceSet) -> RewardCoefficients:
-    """Efficient estimator of the reward over the entire population: surfaces plus residuals over s."""
-    return _coefficients(dataset, nuisances, "se", "v")
-
-
-_BUILDERS = {
-    ("direct", "r"): coefficients_direct_r,
-    ("ipw", "r"): coefficients_ipw_r,
-    ("se", "r"): coefficients_se_r,
-    ("se", "v"): coefficients_se_v,
-}
+_SUPPORTED = {("direct", "r"), ("ipw", "r"), ("se", "r"), ("se", "v")}
 
 
 def reward_coefficients(
     dataset: CombinedDataset, nuisances: NuisanceSet, kind: str, estimand: str = "r"
 ) -> RewardCoefficients:
-    try:
-        builder = _BUILDERS[(kind, estimand)]
-    except KeyError:
-        raise ValueError(f"no estimator for kind={kind!r}, estimand={estimand!r}") from None
-    return builder(dataset, nuisances)
+    """Coefficients (a, b) of estimator ``kind`` (direct, ipw or se) for ``estimand`` r, or se for v."""
+    if (kind, estimand) not in _SUPPORTED:
+        raise ValueError(f"no estimator for kind={kind!r}, estimand={estimand!r}")
+    return _coefficients(dataset, nuisances, kind, estimand)
 
 
 def estimate(coeffs: RewardCoefficients, policy_values: np.ndarray) -> RewardEstimate:
@@ -212,7 +181,7 @@ def generalization_bound(
         raise ValueError("eta must lie in (0, 1)")
     if policy_class_size < 1:
         raise ValueError("policy_class_size must be >= 1")
-    residuals = coefficients_se_r(dataset, nuisances).a[dataset.source_mask]
+    residuals = _coefficients(dataset, nuisances, "se", "r").a[dataset.source_mask]
     n = dataset.n
     term = float(np.sqrt(np.log(2.0 * policy_class_size / eta) / (2.0 * n * n) * np.sum(residuals**2)))
     return BoundReport(eta=eta, policy_class_size=policy_class_size, bound_term=term, bias_diagnostic=bias)

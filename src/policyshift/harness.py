@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +100,10 @@ class ExperimentConfig:
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
+        for name, section in (("nuisance", NuisanceConfig), ("learner", LearnerConfig)):
+            unknown = set(payload.get(name, {})) - {f.name for f in fields(section)}
+            if unknown:
+                raise ValueError(f"unknown {name} options: {sorted(unknown)}")
         return cls(
             sim=SimConfig.from_dict(payload.get("sim", {})),
             nuisance=NuisanceConfig(**payload.get("nuisance", {})),
@@ -138,6 +142,8 @@ def run_replication(config: ExperimentConfig, replication: int, methods: tuple[s
     learner = replace(config.learner, seed=seed)
     # finite-class size for the bound: grid discretization of the policy class
     policy_class_size = 10 ** FeatureMap(config.learner.feature_map, sim.dataset.p).p_out
+    # the bound depends on the nuisances only, not on the method or its policy
+    bound = generalization_bound(sim.dataset, nuisances, BOUND_ETA, policy_class_size)
     coeffs, learned = {}, {}
     for method in methods:
         try:
@@ -157,7 +163,6 @@ def run_replication(config: ExperimentConfig, replication: int, methods: tuple[s
             decisions = policy.decide(sim.dataset.covariates)
             est = estimate(coeffs[method], decisions)
             diag = bias_diagnostic(sim.dataset, sim.truth, nuisances, decisions)
-            bound = generalization_bound(sim.dataset, nuisances, BOUND_ETA, policy_class_size, bias=diag)
             record["methods"][method] = {
                 "metrics": metrics.to_dict(),
                 "estimate": _estimate_to_dict(est),

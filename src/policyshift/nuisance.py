@@ -79,17 +79,6 @@ def fit_ridge(features: np.ndarray, y: np.ndarray, fmap: FeatureMap, ridge: floa
     return RidgeModel(beta=beta, fmap=fmap)
 
 
-def fit_outcome(dataset: CombinedDataset, arm: int, fmap: FeatureMap, ridge: float = DEFAULT_OUTCOME_RIDGE) -> RidgeModel:
-    """Regress the outcome on covariates over source rows with the given arm."""
-    if arm not in (0, 1):
-        raise ValueError("arm must be 0 or 1")
-    rows = dataset.source_mask & (dataset.treatment == arm)
-    n_rows = int(rows.sum())
-    if n_rows < fmap.p_out:
-        raise FitError(f"outcome model for arm {arm}: {n_rows} source rows, need at least {fmap.p_out}")
-    return fit_ridge(dataset.covariates[rows], dataset.outcome[rows], fmap, ridge)
-
-
 def _penalized_loglik(Phi: np.ndarray, y: np.ndarray, beta: np.ndarray, ridge: float) -> float:
     eta = Phi @ beta
     # log-likelihood written to avoid overflow: y*eta - log(1+exp(eta))
@@ -102,8 +91,6 @@ def fit_logistic(
     labels: np.ndarray,
     fmap: FeatureMap,
     ridge: float = DEFAULT_LOGISTIC_RIDGE,
-    max_iter: int = IRLS_MAX_ITER,
-    tol: float = IRLS_TOL,
     trace: list | None = None,
 ) -> LogisticModel:
     """Maximize the ridge-penalized Bernoulli log-likelihood by IRLS.
@@ -111,9 +98,9 @@ def fit_logistic(
     Newton steps are halved whenever the penalized log-likelihood would
     decrease, so the objective is non-decreasing across iterations; when no
     step down to a scale of 1e-8 keeps it, the current coefficients are
-    returned. Stops when the largest absolute coefficient update falls below
-    ``tol``. If ``trace`` is a list, the objective after every iteration is
-    appended to it.
+    returned. Stops after ``IRLS_MAX_ITER`` iterations, or earlier once the
+    largest absolute coefficient update falls below ``IRLS_TOL``. If
+    ``trace`` is a list, the objective after every iteration is appended to it.
     """
     y = np.asarray(labels, dtype=float)
     if set(np.unique(y)) - {0.0, 1.0}:
@@ -127,7 +114,7 @@ def fit_logistic(
     obj = _penalized_loglik(Phi, y, beta, ridge)
     if trace is not None:
         trace.append(obj)
-    for _ in range(max_iter):
+    for _ in range(IRLS_MAX_ITER):
         p = sigmoid(Phi @ beta)
         w = p * (1.0 - p)
         grad = Phi.T @ (y - p) - D @ beta
@@ -149,32 +136,9 @@ def fit_logistic(
             trace.append(obj)
         if ridge == 0 and float(np.max(np.abs(beta))) > _DIVERGED_COEF:
             raise FitError("logistic coefficients diverged (separated data); use a positive ridge")
-        if delta < tol:
+        if delta < IRLS_TOL:
             break
     return LogisticModel(beta=beta, fmap=fmap)
-
-
-def fit_propensity(
-    dataset: CombinedDataset,
-    fmap: FeatureMap,
-    ridge: float = DEFAULT_LOGISTIC_RIDGE,
-    max_iter: int = IRLS_MAX_ITER,
-    tol: float = IRLS_TOL,
-) -> LogisticModel:
-    """Probability of treatment given covariates, fitted on source rows only."""
-    src = dataset.source_mask
-    return fit_logistic(dataset.covariates[src], dataset.treatment[src], fmap, ridge, max_iter, tol)
-
-
-def fit_sampling_score(
-    dataset: CombinedDataset,
-    fmap: FeatureMap,
-    ridge: float = DEFAULT_LOGISTIC_RIDGE,
-    max_iter: int = IRLS_MAX_ITER,
-    tol: float = IRLS_TOL,
-) -> LogisticModel:
-    """Probability of belonging to the source domain, fitted on all rows."""
-    return fit_logistic(dataset.covariates, dataset.group.astype(float), fmap, ridge, max_iter, tol)
 
 
 Predictor = Callable[[np.ndarray], np.ndarray]
@@ -257,8 +221,6 @@ class NuisanceConfig:
     logistic_ridge: float = DEFAULT_LOGISTIC_RIDGE
     clip: float = DEFAULT_CLIP
     folds: int = 1
-    max_iter: int = IRLS_MAX_ITER
-    tol: float = IRLS_TOL
 
 
 def crossfit_folds(dataset: CombinedDataset, folds: int) -> np.ndarray:
@@ -279,20 +241,12 @@ def crossfit_folds(dataset: CombinedDataset, folds: int) -> np.ndarray:
     return assignment
 
 
-def _subset(dataset: CombinedDataset, keep: np.ndarray) -> CombinedDataset:
-    return CombinedDataset(
-        covariates=dataset.covariates[keep],
-        group=dataset.group[keep],
-        treatment=dataset.treatment[keep],
-        outcome=dataset.outcome[keep],
-        covariate_names=dataset.covariate_names,
-    )
-
-
 def fit_nuisances(dataset: CombinedDataset, config: NuisanceConfig | None = None) -> NuisanceSet:
     """Fit all four nuisance models under one configuration.
 
-    With ``config.folds > 1`` the models are cross-fitted: each fold's rows are
+    Each outcome regression is fitted on the source rows of its arm, the
+    treatment score on source rows and the domain score on every row. With
+    ``config.folds > 1`` the models are cross-fitted: each fold's rows are
     predicted by models trained on the remaining folds.
     """
     config = config or NuisanceConfig()
@@ -301,23 +255,33 @@ def fit_nuisances(dataset: CombinedDataset, config: NuisanceConfig | None = None
     pmap = FeatureMap(config.propensity_map, p)
     smap = FeatureMap(config.sampling_map, p)
 
-    def _fit_single(ds: CombinedDataset) -> NuisanceSet:
+    x, arm, source = dataset.covariates, dataset.treatment, dataset.source_mask
+
+    def _fit_single(train: np.ndarray) -> NuisanceSet:
+        outcome = []
+        for a in (0, 1):
+            rows = train & source & (arm == a)
+            n_rows = int(rows.sum())
+            if n_rows < omap.p_out:
+                raise FitError(f"outcome model for arm {a}: {n_rows} source rows, need at least {omap.p_out}")
+            outcome.append(fit_ridge(x[rows], dataset.outcome[rows], omap, config.outcome_ridge))
+        rows = train & source
         return NuisanceSet(
-            mu0=fit_outcome(ds, 0, omap, config.outcome_ridge),
-            mu1=fit_outcome(ds, 1, omap, config.outcome_ridge),
-            e1=fit_propensity(ds, pmap, config.logistic_ridge, config.max_iter, config.tol),
-            s=fit_sampling_score(ds, smap, config.logistic_ridge, config.max_iter, config.tol),
+            mu0=outcome[0],
+            mu1=outcome[1],
+            e1=fit_logistic(x[rows], arm[rows], pmap, config.logistic_ridge),
+            s=fit_logistic(x[train], dataset.group[train].astype(float), smap, config.logistic_ridge),
             clip=config.clip,
         )
 
-    x = dataset.covariates
+    everything = np.ones(dataset.n, dtype=bool)
     if config.folds <= 1:
-        return _fit_single(dataset).bind(x)
+        return _fit_single(everything).bind(x)
     assignment = crossfit_folds(dataset, config.folds)
     out = {name: np.empty(dataset.n) for name in ("mu0", "mu1", "e1", "s")}
     for k in range(config.folds):
         held_out = assignment == k
-        vals = _fit_single(_subset(dataset, ~held_out)).values(x[held_out])
+        vals = _fit_single(~held_out).values(x[held_out])
         for name in out:
             out[name][held_out] = getattr(vals, name)
-    return _fit_single(dataset).bind(x, NuisanceValues(**out))
+    return _fit_single(everything).bind(x, NuisanceValues(**out))

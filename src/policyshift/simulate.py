@@ -106,9 +106,14 @@ class SimConfig:
             elif key in ("cov_source", "cov_target"):
                 fields[key] = tuple(tuple(float(v) for v in row) for row in payload[key])
             elif key in ("n_source", "n_target", "seed"):
-                fields[key] = int(payload[key])
+                value = payload[key]
+                if type(value) is not int and not (type(value) is float and value.is_integer()):
+                    raise ValueError(f"simulation option {key!r} must be an integer, got {value!r}")
+                fields[key] = int(value)
             elif key == "shared_noise":
-                fields[key] = bool(payload[key])
+                if type(payload[key]) is not bool:
+                    raise ValueError(f"simulation option 'shared_noise' must be true or false, got {payload[key]!r}")
+                fields[key] = payload[key]
             elif key in ("beta_treatment", "noise_sd"):
                 fields[key] = float(payload[key])
             else:

@@ -19,10 +19,6 @@ from policyshift import (
     NuisanceSet,
     SimConfig,
     bias_diagnostic,
-    coefficients_direct_r,
-    coefficients_ipw_r,
-    coefficients_se_r,
-    coefficients_se_v,
     estimate,
     generalization_bound,
     generate,
@@ -83,14 +79,14 @@ def test_criterion_1_exact_formula_equivalence():
         ds, vals, pi = random_small_dataset(rng, max_n=12)
         ns = fixed_value_nuisances(**vals)
         pairs = [
-            (estimate(coefficients_direct_r(ds, ns), pi).value, direct_r_reference(ds, vals["mu0"], vals["mu1"], pi)),
-            (estimate(coefficients_ipw_r(ds, ns), pi).value, ipw_r_reference(ds, vals["e1"], vals["s"], pi)),
+            (estimate(reward_coefficients(ds, ns, "direct", "r"), pi).value, direct_r_reference(ds, vals["mu0"], vals["mu1"], pi)),
+            (estimate(reward_coefficients(ds, ns, "ipw", "r"), pi).value, ipw_r_reference(ds, vals["e1"], vals["s"], pi)),
             (
-                estimate(coefficients_se_r(ds, ns), pi).value,
+                estimate(reward_coefficients(ds, ns, "se", "r"), pi).value,
                 se_r_reference(ds, vals["mu0"], vals["mu1"], vals["e1"], vals["s"], pi),
             ),
             (
-                estimate(coefficients_se_v(ds, ns), pi).value,
+                estimate(reward_coefficients(ds, ns, "se", "v"), pi).value,
                 se_v_reference(ds, vals["mu0"], vals["mu1"], vals["e1"], vals["s"], pi),
             ),
         ]
@@ -113,11 +109,11 @@ def _replication_estimates(config: SimConfig, reps: int):
         wrong_surfaces = shift_surfaces(truth, 2.0)
         both_wrong = shift_surfaces(wrong_scores, 2.0)
 
-        rows["se_a"].append(estimate(coefficients_se_r(ds, wrong_scores), pi).value)
-        rows["ipw_a"].append(estimate(coefficients_ipw_r(ds, wrong_scores), pi).value)
-        rows["se_b"].append(estimate(coefficients_se_r(ds, wrong_surfaces), pi).value)
-        rows["direct_b"].append(estimate(coefficients_direct_r(ds, wrong_surfaces), pi).value)
-        rows["se_joint"].append(estimate(coefficients_se_r(ds, both_wrong), pi).value)
+        rows["se_a"].append(estimate(reward_coefficients(ds, wrong_scores, "se", "r"), pi).value)
+        rows["ipw_a"].append(estimate(reward_coefficients(ds, wrong_scores, "ipw", "r"), pi).value)
+        rows["se_b"].append(estimate(reward_coefficients(ds, wrong_surfaces, "se", "r"), pi).value)
+        rows["direct_b"].append(estimate(reward_coefficients(ds, wrong_surfaces, "direct", "r"), pi).value)
+        rows["se_joint"].append(estimate(reward_coefficients(ds, both_wrong, "se", "r"), pi).value)
         rows["prop3_joint"].append(bias_diagnostic(ds, truth, both_wrong, pi, signed=True))
         rows["diag_a"].append(bias_diagnostic(ds, truth, wrong_scores, pi))
         rows["diag_b"].append(bias_diagnostic(ds, truth, wrong_surfaces, pi))
@@ -182,8 +178,8 @@ def test_criterion_4_efficiency_and_coverage():
     for r in range(reps):
         sim = generate(replace(config, seed=config.seed + r))
         pi = FIXED_POLICY.decide(sim.dataset.covariates)
-        se_est = estimate(coefficients_se_r(sim.dataset, sim.truth), pi)
-        ipw_est = estimate(coefficients_ipw_r(sim.dataset, sim.truth), pi)
+        se_est = estimate(reward_coefficients(sim.dataset, sim.truth, "se", "r"), pi)
+        ipw_est = estimate(reward_coefficients(sim.dataset, sim.truth, "ipw", "r"), pi)
         se_values.append(se_est.value)
         ipw_values.append(ipw_est.value)
         covered += se_est.ci_low <= truth_value <= se_est.ci_high
@@ -356,7 +352,7 @@ def test_criterion_8_learner_recovers_realizable_oracle():
     config = SimConfig(noise_sd=0.0, seed=800_000)
     sim = generate(config)
     ds = sim.dataset
-    coeffs = coefficients_se_r(ds, sim.truth)
+    coeffs = reward_coefficients(ds, sim.truth, "se", "r")
     tgt = ds.target_mask
     oracle_decisions = sim.oracle.decide(ds.covariates[tgt])
 
@@ -368,7 +364,7 @@ def test_criterion_8_learner_recovers_realizable_oracle():
     # (b) quadratic policy over the generator's transformed covariates: the
     # oracle boundary is exactly realizable in this class
     transformed = feature_transform(ds.covariates)
-    coeffs_b = coefficients_se_r(ds, sim.truth)
+    coeffs_b = reward_coefficients(ds, sim.truth, "se", "r")
     policy_b, _ = learn_policy(coeffs_b, transformed, LearnerConfig(feature_map="quadratic", seed=1))
     agree_b = float(np.mean(policy_b.decide(transformed[tgt]) == oracle_decisions))
 

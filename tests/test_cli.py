@@ -92,6 +92,19 @@ def test_errors_exit_nonzero(tmp_path, config_path, capsys):
     assert main(["table", "--config", config_path, "--reps", "2", "--methods", "direct,magic", "--out", str(tmp_path / "y.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("nuisance", "max_iter", 5), ("nuisance", "tol", 1e-6), ("learner", "epochs", 10), ("sim", "n_rows", 10)],
+)
+def test_unknown_config_keys_exit_2_and_name_the_key(tmp_path, capsys, section, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, section: {**SMALL_CONFIG.get(section, {}), key: value}}), encoding="utf-8")
+    assert main(["table", "--config", str(path), "--reps", "2", "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_help_documents_defaults(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])

@@ -6,10 +6,6 @@ from hypothesis import strategies as st
 from policyshift import (
     CombinedDataset,
     bias_diagnostic,
-    coefficients_direct_r,
-    coefficients_ipw_r,
-    coefficients_se_r,
-    coefficients_se_v,
     estimate,
     generalization_bound,
     reward_coefficients,
@@ -36,14 +32,14 @@ def test_every_estimator_matches_brute_force_on_random_data():
     for _ in range(60):
         ds, vals, pi = random_small_dataset(rng)
         ns = fixed_value_nuisances(**vals)
-        assert close(estimate(coefficients_direct_r(ds, ns), pi).value, direct_r_reference(ds, vals["mu0"], vals["mu1"], pi))
-        assert close(estimate(coefficients_ipw_r(ds, ns), pi).value, ipw_r_reference(ds, vals["e1"], vals["s"], pi))
+        assert close(estimate(reward_coefficients(ds, ns, "direct", "r"), pi).value, direct_r_reference(ds, vals["mu0"], vals["mu1"], pi))
+        assert close(estimate(reward_coefficients(ds, ns, "ipw", "r"), pi).value, ipw_r_reference(ds, vals["e1"], vals["s"], pi))
         assert close(
-            estimate(coefficients_se_r(ds, ns), pi).value,
+            estimate(reward_coefficients(ds, ns, "se", "r"), pi).value,
             se_r_reference(ds, vals["mu0"], vals["mu1"], vals["e1"], vals["s"], pi),
         )
         assert close(
-            estimate(coefficients_se_v(ds, ns), pi).value,
+            estimate(reward_coefficients(ds, ns, "se", "v"), pi).value,
             se_v_reference(ds, vals["mu0"], vals["mu1"], vals["e1"], vals["s"], pi),
         )
         assert close(
@@ -56,10 +52,10 @@ def test_coefficient_support_patterns():
     rng = np.random.default_rng(5)
     ds, vals, _ = random_small_dataset(rng)
     ns = fixed_value_nuisances(**vals)
-    direct = coefficients_direct_r(ds, ns)
+    direct = reward_coefficients(ds, ns, "direct", "r")
     src = ds.source_mask
     assert np.all(direct.a[src] == 0) and np.all(direct.b[src] == 0)
-    ipw = coefficients_ipw_r(ds, ns)
+    ipw = reward_coefficients(ds, ns, "ipw", "r")
     assert np.all(ipw.a[~src] == 0) and np.all(ipw.b[~src] == 0)
 
 
@@ -67,12 +63,12 @@ def test_direct_null_and_constant_policies():
     rng = np.random.default_rng(6)
     ds, vals, _ = random_small_dataset(rng)
     ns = fixed_value_nuisances(**vals)
-    coeffs = coefficients_direct_r(ds, ns)
+    coeffs = reward_coefficients(ds, ns, "direct", "r")
     tgt = ds.target_mask
     null_value = estimate(coeffs, np.zeros(ds.n)).value
     assert close(null_value, vals["mu0"][tgt].mean())
     ns_const = fixed_value_nuisances(vals["mu0"], np.full(ds.n, 7.25), vals["e1"], vals["s"])
-    const_value = estimate(coefficients_direct_r(ds, ns_const), np.ones(ds.n)).value
+    const_value = estimate(reward_coefficients(ds, ns_const, "direct", "r"), np.ones(ds.n)).value
     assert close(const_value, 7.25)
 
 
@@ -85,7 +81,7 @@ def test_ipw_hand_instance():
         outcome=np.array([2.0, np.nan]),
     )
     ns = fixed_value_nuisances(np.zeros(2), np.zeros(2), np.full(2, 0.5), np.full(2, 0.5))
-    value = estimate(coefficients_ipw_r(ds, ns), np.ones(2)).value
+    value = estimate(reward_coefficients(ds, ns, "ipw", "r"), np.ones(2)).value
     assert close(value, 0.5 * 2.0 * 1.0 / (0.5 * 0.5))
 
 
@@ -95,7 +91,7 @@ def test_ipw_zero_outcomes_give_zero():
     zero_y = np.where(ds.source_mask, 0.0, np.nan)
     ds0 = CombinedDataset(covariates=ds.covariates, group=ds.group, treatment=ds.treatment, outcome=zero_y)
     ns = fixed_value_nuisances(**vals)
-    assert estimate(coefficients_ipw_r(ds0, ns), pi).value == 0.0
+    assert estimate(reward_coefficients(ds0, ns, "ipw", "r"), pi).value == 0.0
 
 
 def test_ipw_with_true_scores_recovers_treated_target_mean():
@@ -113,7 +109,7 @@ def test_ipw_with_true_scores_recovers_treated_target_mean():
     sim = generate(config)
     s_vals = sim.truth.values(sim.dataset.covariates).s
     assert np.allclose(s_vals, config.source_fraction, atol=1e-12)
-    est = estimate(coefficients_ipw_r(sim.dataset, sim.truth), np.ones(sim.dataset.n))
+    est = estimate(reward_coefficients(sim.dataset, sim.truth, "ipw", "r"), np.ones(sim.dataset.n))
     y1_target = sim.potential.y1[sim.dataset.target_mask]
     assert abs(est.value - y1_target.mean()) < 3.0 * est.std_error + 3.0 * y1_target.std(ddof=1) / np.sqrt(
         len(y1_target)
@@ -139,7 +135,7 @@ def test_se_v_is_finite_with_a_single_target_row():
         outcome=np.array([5.0, 1.0, np.nan]),
     )
     ns = fixed_value_nuisances(np.zeros(3), np.ones(3), np.full(3, 0.5), np.full(3, 2 / 3))
-    est = estimate(coefficients_se_v(ds, ns), np.ones(3))
+    est = estimate(reward_coefficients(ds, ns, "se", "v"), np.ones(3))
     assert np.isfinite(est.value) and np.isfinite(est.std_error)
 
 
@@ -158,8 +154,8 @@ def test_se_reduces_to_direct_when_residuals_vanish():
         ds, vals, pi = random_small_dataset(rng)
         mu0, mu1 = exact_fit_surfaces(ds, vals)
         ns = fixed_value_nuisances(mu0, mu1, vals["e1"], vals["s"])
-        se = coefficients_se_r(ds, ns)
-        direct = coefficients_direct_r(ds, ns)
+        se = reward_coefficients(ds, ns, "se", "r")
+        direct = reward_coefficients(ds, ns, "direct", "r")
         src, tgt = ds.source_mask, ds.target_mask
         assert np.array_equal(se.a[tgt], direct.a[tgt]) and np.array_equal(se.b[tgt], direct.b[tgt])
         assert np.all(se.a[src] == 0) and np.all(se.b[src] == 0)
@@ -171,8 +167,8 @@ def test_se_reduces_to_ipw_when_surfaces_are_zero():
     for _ in range(60):
         ds, vals, pi = random_small_dataset(rng)
         ns = fixed_value_nuisances(np.zeros(ds.n), np.zeros(ds.n), vals["e1"], vals["s"])
-        se = coefficients_se_r(ds, ns)
-        ipw = coefficients_ipw_r(ds, ns)
+        se = reward_coefficients(ds, ns, "se", "r")
+        ipw = reward_coefficients(ds, ns, "ipw", "r")
         assert np.array_equal(se.a, ipw.a) and np.array_equal(se.b, ipw.b)
 
 
@@ -182,7 +178,7 @@ def test_se_v_with_zero_residuals_is_regression_mean_over_all_rows():
         ds, vals, pi = random_small_dataset(rng)
         mu0, mu1 = exact_fit_surfaces(ds, vals)
         ns = fixed_value_nuisances(mu0, mu1, vals["e1"], vals["s"])
-        value = estimate(coefficients_se_v(ds, ns), pi).value
+        value = estimate(reward_coefficients(ds, ns, "se", "v"), pi).value
         assert close(value, float(np.mean(pi * mu1 + (1 - pi) * mu0)))
 
 
@@ -203,7 +199,7 @@ def test_estimate_is_linear_in_policy():
     rng = np.random.default_rng(12)
     ds, vals, pi = random_small_dataset(rng)
     ns = fixed_value_nuisances(**vals)
-    coeffs = coefficients_se_r(ds, ns)
+    coeffs = reward_coefficients(ds, ns, "se", "r")
     forward = estimate(coeffs, pi).value
     flipped = estimate(coeffs, 1.0 - pi).value
     assert close(forward - flipped, float(np.mean(coeffs.a * (2 * pi - 1))), tol=1e-10)
@@ -232,29 +228,33 @@ def test_estimate_rejects_length_mismatch():
     ds, vals, _ = random_small_dataset(rng)
     ns = fixed_value_nuisances(**vals)
     with pytest.raises(ValueError, match="policy values"):
-        estimate(coefficients_se_r(ds, ns), np.ones(ds.n + 1))
+        estimate(reward_coefficients(ds, ns, "se", "r"), np.ones(ds.n + 1))
 
 
 def test_se_influence_values_have_exactly_zero_mean_and_advertised_ci():
     rng = np.random.default_rng(14)
     ds, vals, pi = random_small_dataset(rng)
     ns = fixed_value_nuisances(**vals)
-    est = estimate(coefficients_se_r(ds, ns), pi)
+    est = estimate(reward_coefficients(ds, ns, "se", "r"), pi)
     assert est.influence_values is not None
     assert abs(est.influence_values.mean()) < 1e-12 * max(1.0, abs(est.value))
     sd = est.influence_values.std(ddof=1)
     assert close(est.std_error, sd / np.sqrt(ds.n), tol=1e-12)
     assert close(est.ci_high - est.value, Z_95 * est.std_error, tol=1e-12)
-    assert estimate(coefficients_direct_r(ds, ns), pi).influence_values is None
+    assert estimate(reward_coefficients(ds, ns, "direct", "r"), pi).influence_values is None
 
 
 def test_reward_coefficients_dispatch_and_unknown_kind():
     rng = np.random.default_rng(15)
     ds, vals, _ = random_small_dataset(rng)
     ns = fixed_value_nuisances(**vals)
-    assert reward_coefficients(ds, ns, "direct").kind == "direct"
-    with pytest.raises(ValueError, match="no estimator"):
-        reward_coefficients(ds, ns, "direct", "v")
+    for kind, estimand in (("direct", "r"), ("ipw", "r"), ("se", "r"), ("se", "v")):
+        coeffs = reward_coefficients(ds, ns, kind, estimand)
+        assert (coeffs.kind, coeffs.estimand) == (kind, estimand)
+    assert reward_coefficients(ds, ns, "direct").estimand == "r"
+    for kind, estimand in (("direct", "v"), ("ipw", "v"), ("dr", "r"), ("se", "t")):
+        with pytest.raises(ValueError, match=f"no estimator for kind='{kind}', estimand='{estimand}'"):
+            reward_coefficients(ds, ns, kind, estimand)
 
 
 def test_bias_diagnostic_zero_when_either_side_correct():

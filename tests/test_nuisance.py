@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,13 @@ from policyshift import (
     FitError,
     NuisanceConfig,
     fit_logistic,
+    LearnerConfig,
     fit_nuisances,
-    fit_outcome,
-    fit_propensity,
     fit_ridge,
-    fit_sampling_score,
     generate,
+    learn_policy,
     reward_coefficients,
+    sigmoid,
 )
 from policyshift import nuisance
 from policyshift.nuisance import NuisanceSet, crossfit_folds
@@ -26,13 +28,20 @@ RAW1 = FeatureMap("raw", 1)
 INT1 = FeatureMap("intercept", 1)
 
 
-def source_only_dataset(x, a, y):
-    n = len(x)
+# intercept-only models for whatever a test does not look at
+INTERCEPTS = dict(outcome_map="intercept", propensity_map="intercept", sampling_map="intercept")
+
+
+def two_domain_dataset(x, a, y, x_target):
+    """Source rows (x, a, y) followed by covariate-only target rows."""
+    x = np.asarray(x, dtype=float).reshape(len(x), -1)
+    x_target = np.asarray(x_target, dtype=float).reshape(len(x_target), -1)
+    n, m = len(x), len(x_target)
     return CombinedDataset(
-        covariates=np.asarray(x, dtype=float).reshape(n, -1),
-        group=np.ones(n, dtype=int),
-        treatment=np.asarray(a, dtype=float),
-        outcome=np.asarray(y, dtype=float),
+        covariates=np.vstack([x, x_target]),
+        group=np.array([1] * n + [0] * m),
+        treatment=np.concatenate([np.asarray(a, dtype=float), np.full(m, np.nan)]),
+        outcome=np.concatenate([np.asarray(y, dtype=float), np.full(m, np.nan)]),
     )
 
 
@@ -64,15 +73,29 @@ def test_singular_system_advises_positive_ridge():
 
 
 def test_outcome_fit_requires_enough_arm_rows():
-    ds = source_only_dataset([[0.0], [1.0], [2.0]], [1, 1, 0], [1.0, 2.0, 3.0])
-    with pytest.raises(FitError, match="arm 0"):
-        fit_outcome(ds, 0, RAW1)
+    ds = two_domain_dataset([[0.0], [1.0], [2.0]], [1, 1, 0], [1.0, 2.0, 3.0], [[0.5], [1.5]])
+    config = NuisanceConfig(outcome_map="raw", propensity_map="intercept", sampling_map="intercept")
+    with pytest.raises(FitError, match=r"^outcome model for arm 0: 1 source rows, need at least 2$"):
+        fit_nuisances(ds, config)
 
 
 def test_outcome_fit_selects_matching_arm():
-    ds = source_only_dataset([[0.0], [1.0], [2.0], [0.0], [1.0]], [1, 1, 1, 0, 0], [1.0, 3.0, 5.0, 9.0, 9.0])
-    model = fit_outcome(ds, 1, RAW1, ridge=0.0)
-    assert np.allclose(model.beta, [1.0, 2.0], atol=1e-10)
+    ds = two_domain_dataset([[0.0], [1.0], [2.0], [0.0], [1.0]], [1, 1, 1, 0, 0], [1.0, 3.0, 5.0, 9.0, 9.0], [[4.0]])
+    ns = fit_nuisances(ds, NuisanceConfig(**{**INTERCEPTS, "outcome_map": "raw"}, outcome_ridge=0.0))
+    assert np.allclose(ns.mu1.beta, [1.0, 2.0], atol=1e-10)
+    assert np.allclose(ns.mu0.beta, [9.0, 0.0], atol=1e-10)
+
+
+def test_scores_are_fitted_on_source_rows_and_on_the_group_label():
+    # the same logistic fits, called directly, give exactly the same coefficients
+    ds = generate(SimConfig(n_source=128, n_target=160, seed=11)).dataset
+    config = NuisanceConfig(propensity_map="raw", sampling_map="quadratic", logistic_ridge=0.1)
+    ns = fit_nuisances(ds, config)
+    src = ds.source_mask
+    e1 = fit_logistic(ds.covariates[src], ds.treatment[src], FeatureMap("raw", 3), ridge=0.1)
+    s = fit_logistic(ds.covariates, ds.group.astype(float), FeatureMap("quadratic", 3), ridge=0.1)
+    assert np.array_equal(ns.e1.beta, e1.beta)
+    assert np.array_equal(ns.s.beta, s.beta)
 
 
 def test_ridge_residuals_have_zero_mean():
@@ -158,60 +181,45 @@ def test_irls_keeps_its_coefficients_when_every_step_goes_downhill(monkeypatch):
 
 def test_propensity_near_half_under_fair_coin():
     sim = generate(SimConfig(n_source=512, n_target=64, seed=5))
-    model = fit_propensity(sim.dataset, FeatureMap("intercept", 3), ridge=0.0)
-    p = model(sim.dataset.covariates[:1])[0]
+    ns = fit_nuisances(sim.dataset, NuisanceConfig(**INTERCEPTS, logistic_ridge=0.0))
+    p = ns.e1(sim.dataset.covariates[:1])[0]
     assert abs(p - 0.5) < 3.0 * np.sqrt(0.25 / 512)
 
 
 def test_propensity_two_rows_penalized_stays_interior():
-    ds = source_only_dataset([[0.0], [1.0]], [0, 1], [0.0, 1.0])
-    model = fit_propensity(ds, RAW1, ridge=1.0)
-    probs = model(ds.covariates)
+    ds = two_domain_dataset([[0.0], [1.0]], [0, 1], [0.0, 1.0], [[0.5]])
+    ns = fit_nuisances(ds, NuisanceConfig(**{**INTERCEPTS, "propensity_map": "raw"}, logistic_ridge=1.0))
+    probs = ns.e1(ds.covariates[ds.source_mask])
     assert np.all((probs > 0.05) & (probs < 0.95))
 
 
 def test_propensity_slope_recovery():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(200, 1))
-    from policyshift import sigmoid
-
     a = (rng.random(200) < sigmoid(-0.5 * x[:, 0])).astype(float)
-    ds = CombinedDataset(covariates=x, group=np.ones(200, dtype=int), treatment=a, outcome=np.zeros(200))
-    model = fit_propensity(ds, RAW1, ridge=1e-6)
-    assert abs(model.beta[1] - (-0.5)) < 0.3
+    ds = two_domain_dataset(x, a, np.zeros(200), rng.normal(size=(50, 1)))
+    ns = fit_nuisances(ds, NuisanceConfig(**{**INTERCEPTS, "propensity_map": "raw"}, logistic_ridge=1e-6))
+    assert abs(ns.e1.beta[1] - (-0.5)) < 0.3
 
 
 def test_sampling_score_no_shift_is_source_fraction():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(300, 1))
-    group = np.concatenate([np.ones(100, dtype=int), np.zeros(200, dtype=int)])
-    ds = CombinedDataset(
-        covariates=x,
-        group=group,
-        treatment=np.where(group == 1, (rng.random(300) < 0.5).astype(float), np.nan),
-        outcome=np.where(group == 1, rng.normal(size=300), np.nan),
-    )
-    model = fit_sampling_score(ds, INT1, ridge=0.0)
-    assert abs(model(x[:1])[0] - ds.source_fraction) < 1e-8
+    ds = two_domain_dataset(x[:100], (rng.random(100) < 0.5).astype(float), rng.normal(size=100), x[100:])
+    ns = fit_nuisances(ds, NuisanceConfig(**INTERCEPTS, logistic_ridge=0.0))
+    assert abs(ns.s(x[:1])[0] - ds.source_fraction) < 1e-8
 
 
 def test_sampling_score_monotone_in_separation():
-    x = np.array([[1.0]] * 6 + [[0.0]] * 6)
-    group = np.array([1] * 6 + [0] * 6)
-    ds = CombinedDataset(
-        covariates=x,
-        group=group,
-        treatment=np.where(group == 1, [1.0, 0, 1, 0, 1, 0] + [np.nan] * 6, np.nan),
-        outcome=np.where(group == 1, 1.0, np.nan),
-    )
-    model = fit_sampling_score(ds, RAW1, ridge=1.0)
-    assert model(np.array([[1.0]]))[0] > model(np.array([[0.0]]))[0]
+    ds = two_domain_dataset([[1.0]] * 6, [1, 0, 1, 0, 1, 0], [1.0] * 6, [[0.0]] * 6)
+    ns = fit_nuisances(ds, NuisanceConfig(**{**INTERCEPTS, "sampling_map": "raw"}, logistic_ridge=1.0))
+    assert ns.s(np.array([[1.0]]))[0] > ns.s(np.array([[0.0]]))[0]
 
 
 def test_sampling_score_detects_default_covariate_shift():
     sim = generate(SimConfig(seed=9))
-    model = fit_sampling_score(sim.dataset, FeatureMap("raw", 3), ridge=1e-2)
-    scores = model(sim.dataset.covariates)
+    ns = fit_nuisances(sim.dataset, NuisanceConfig(sampling_map="raw", logistic_ridge=1e-2))
+    scores = ns.s(sim.dataset.covariates)
     src = scores[sim.dataset.source_mask]
     tgt = scores[sim.dataset.target_mask]
     # AUC of the fitted score as a domain classifier via the rank statistic
@@ -219,6 +227,44 @@ def test_sampling_score_detects_default_covariate_shift():
     ranks = np.argsort(np.argsort(combined)) + 1
     auc = (ranks[: len(src)].sum() - len(src) * (len(src) + 1) / 2) / (len(src) * len(tgt))
     assert auc > 0.6
+
+
+@pytest.mark.parametrize("folds", [1, 5])
+def test_a_constant_covariate_column_gives_finite_values_and_policy(folds):
+    sim = generate(SimConfig(n_source=256, n_target=512, seed=12))
+    x = sim.dataset.covariates.copy()
+    x[:, 1] = 3.0
+    ds = replace(sim.dataset, covariates=x)
+    ns = fit_nuisances(ds, NuisanceConfig(folds=folds))
+    v = ns.values(ds.covariates)
+    assert all(np.all(np.isfinite(getattr(v, name))) for name in ("mu0", "mu1", "e1", "s"))
+    policy, _ = learn_policy(reward_coefficients(ds, ns, "se", "r"), ds.covariates, LearnerConfig(max_epochs=20))
+    assert np.all(np.isfinite(policy.theta))
+
+
+def test_separated_treatment_labels_are_clipped_or_rejected():
+    sim = generate(SimConfig(n_source=200, n_target=200, seed=13))
+    ds = sim.dataset
+    # treat exactly the source rows with a large first covariate
+    separated = np.where(ds.source_mask, (ds.covariates[:, 0] > np.median(ds.covariates[:, 0])).astype(float), np.nan)
+    ds = replace(ds, treatment=separated)
+    v = fit_nuisances(ds).values(ds.covariates)
+    assert v.e1.min() == 0.01 and v.e1.max() == 0.99
+    with pytest.raises(FitError, match="diverged"):
+        fit_nuisances(ds, NuisanceConfig(logistic_ridge=0.0))
+
+
+def test_five_treated_rows_fit_with_five_folds_but_not_with_two():
+    ds = generate(SimConfig(n_source=512, n_target=512, seed=14)).dataset
+    treated = np.flatnonzero(ds.source_mask & (ds.treatment == 1))
+    keep = np.ones(ds.n, dtype=bool)
+    keep[treated[5:]] = False
+    ds = CombinedDataset(ds.covariates[keep], ds.group[keep], ds.treatment[keep], ds.outcome[keep])
+    assert np.sum(ds.treatment == 1) == 5
+    v = fit_nuisances(ds, NuisanceConfig(folds=5)).values(ds.covariates)
+    assert np.all(np.isfinite(v.mu1))
+    with pytest.raises(FitError, match=r"^outcome model for arm 1: 2 source rows, need at least 4$"):
+        fit_nuisances(ds, NuisanceConfig(folds=2))
 
 
 def test_predict_clipped_floors_and_interior():

@@ -1,0 +1,68 @@
+import policyshift
+
+# The public surface, spelled out so that adding or dropping an export is a
+# deliberate edit of this list.
+PUBLIC_NAMES = [
+    "BoundReport",
+    "CombinedDataset",
+    "CsvSchema",
+    "EvalMetrics",
+    "ExperimentConfig",
+    "ExperimentReport",
+    "FeatureMap",
+    "FitError",
+    "LearnerConfig",
+    "LinearPolicy",
+    "LogisticModel",
+    "NuisanceConfig",
+    "NuisanceSet",
+    "OraclePolicy",
+    "PairedTTest",
+    "PotentialOutcomes",
+    "RewardCoefficients",
+    "RewardEstimate",
+    "RidgeModel",
+    "SimConfig",
+    "SimulatedData",
+    "TrainingTrace",
+    "betainc",
+    "bias_diagnostic",
+    "conditional_effect",
+    "estimate",
+    "evaluate_policy",
+    "feature_transform",
+    "fit_logistic",
+    "fit_nuisances",
+    "fit_ridge",
+    "generalization_bound",
+    "generate",
+    "ingest_csv",
+    "learn_policies",
+    "learn_policy",
+    "paired_t_test",
+    "policy_error",
+    "population_reward",
+    "read_truth_csv",
+    "require_valid",
+    "reward_coefficients",
+    "run_replication",
+    "run_sweep",
+    "run_table",
+    "shift_sweep_config",
+    "sigmoid",
+    "t_cdf",
+    "t_sf_two_sided",
+    "true_nuisances",
+    "validate",
+    "write_csv",
+    "write_sweep_csv",
+    "write_table_csv",
+    "write_truth_csv",
+]
+
+
+def test_public_surface_is_the_pinned_list():
+    exported = policyshift.__all__
+    assert len(exported) == len(set(exported))
+    assert all(hasattr(policyshift, name) for name in exported)
+    assert sorted(exported) == PUBLIC_NAMES

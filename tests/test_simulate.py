@@ -128,6 +128,22 @@ def test_invalid_configs_rejected():
         SimConfig(n_source=0)
 
 
+def test_from_dict_takes_json_types_and_refuses_to_coerce():
+    config = SimConfig.from_dict({"n_source": 64, "n_target": 128.0, "seed": 3, "shared_noise": False})
+    assert (config.n_source, config.n_target, config.seed, config.shared_noise) == (64, 128, 3, False)
+    assert isinstance(config.n_target, int)
+    for key, value in (
+        ("shared_noise", "false"),
+        ("shared_noise", 0),
+        ("n_source", 512.9),
+        ("n_target", "2048"),
+        ("seed", True),
+        ("seed", None),
+    ):
+        with pytest.raises(ValueError, match=key):
+            SimConfig.from_dict({key: value})
+
+
 def test_population_reward_scopes():
     config = SimConfig(seed=11)
     treat_all = LinearPolicy(theta=np.array([1.0, 0.0, 0.0, 0.0]), fmap=FeatureMap("raw", 3))
