@@ -13,7 +13,6 @@ from policyshift import (
     fit_nuisances,
     generate,
     learn_policy,
-    policy_error,
     reward_coefficients,
 )
 
@@ -21,7 +20,6 @@ sim = generate(SimConfig(seed=42))
 print(f"{sim.dataset.n_source} labeled source rows + {sim.dataset.n_target} covariate-only target rows")
 
 nuisances = fit_nuisances(sim.dataset)
-target_x = sim.dataset.covariates[sim.dataset.target_mask]
 
 oracle_metrics = evaluate_policy(sim.oracle, sim, welfare_scope="target")
 print(f"oracle target reward: {oracle_metrics.true_reward:.2f}\n")
@@ -38,7 +36,7 @@ for method in ("direct", "ipw", "se"):
     claimed = estimate(coeffs, policy.decide(sim.dataset.covariates)).value
     print(
         f"{method:10s} {claimed:10.2f} {metrics.true_reward:8.2f} {metrics.regret:8.2f} "
-        f"{policy_error(policy, sim.oracle, target_x):11.3f} {metrics.welfare_change:9.0f}"
+        f"{metrics.policy_error:11.3f} {metrics.welfare_change:9.0f}"
     )
 
 print("\nthe weighting objective is noisy and lands far from the oracle; the")

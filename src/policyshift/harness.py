@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +20,9 @@ import numpy as np
 from .estimators import RewardEstimate, bias_diagnostic, estimate, generalization_bound, reward_coefficients
 from .features import FeatureMap
 from .nuisance import FitError, NuisanceConfig, fit_nuisances
-from .policy import LearnerConfig, LinearPolicy, OraclePolicy, learn_policies, policy_error
+from .policy import LearnerConfig, LinearPolicy, OraclePolicy, learn_policies
 from .policy import learn_policy  # noqa: F401 -- perfbench/tracer.py wraps harness.learn_policy by name
-from .simulate import SimConfig, SimulatedData, generate, shift_sweep_config
+from .simulate import SimConfig, SimulatedData, generate, json_option, shift_sweep_config
 from .stats import paired_t_test
 
 DEFAULT_METHODS = ("direct", "ipw", "se")
@@ -79,12 +79,20 @@ def evaluate_policy(policy: LinearPolicy | OraclePolicy, sim: SimulatedData, wel
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a replication needs: generator, nuisances and learner."""
+    """Everything a replication needs: generator, nuisances and learner.
+
+    ``from_dict`` takes each option only as the JSON type of its default and
+    raises ``ValueError`` on an unknown key or a wrong-typed value.
+    """
 
     sim: SimConfig = field(default_factory=SimConfig)
     nuisance: NuisanceConfig = field(default_factory=NuisanceConfig)
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     welfare_scope: str = "all"
+
+    def __post_init__(self) -> None:
+        if self.welfare_scope not in WELFARE_SCOPES:
+            raise ValueError(f"welfare_scope must be one of {WELFARE_SCOPES}, got {self.welfare_scope!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -96,20 +104,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        known = {"sim", "nuisance", "learner", "welfare_scope"}
-        unknown = set(payload) - known
+        if type(payload) is not dict:
+            raise ValueError(f"a config must be a JSON object, got {payload!r}")
+        unknown = set(payload) - {"sim", "nuisance", "learner", "welfare_scope"}
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
+        sections = {name: json_option("config", name, payload.get(name, {}), dict) for name in ("sim", "nuisance", "learner")}
         for name, section in (("nuisance", NuisanceConfig), ("learner", LearnerConfig)):
-            unknown = set(payload.get(name, {})) - {f.name for f in fields(section)}
+            options, defaults = sections[name], asdict(section())
+            unknown = set(options) - set(defaults)
             if unknown:
                 raise ValueError(f"unknown {name} options: {sorted(unknown)}")
-        return cls(
-            sim=SimConfig.from_dict(payload.get("sim", {})),
-            nuisance=NuisanceConfig(**payload.get("nuisance", {})),
-            learner=LearnerConfig(**payload.get("learner", {})),
-            welfare_scope=payload.get("welfare_scope", "all"),
-        )
+            # every default is a plain int, float or str, so its type says what JSON value to take
+            sections[name] = section(**{k: json_option(name, k, v, type(defaults[k])) for k, v in options.items()})
+        sections["sim"] = SimConfig.from_dict(sections["sim"])
+        return cls(welfare_scope=payload.get("welfare_scope", "all"), **sections)
 
 
 def _estimate_to_dict(est: RewardEstimate) -> dict:

@@ -1,9 +1,11 @@
 """Policy classes and the gradient-based policy learner.
 
 A linear policy scores covariates through a feature map and treats when the
-score is nonnegative. During learning the 0/1 decision is relaxed to a
-sigmoid with a temperature, which makes the estimated reward differentiable
-in the score coefficients.
+score is nonnegative. During learning the 0/1 decision is relaxed to the
+sigmoid of the score, which makes the estimated reward differentiable in the
+score coefficients. A sharper relaxation needs no knob of its own: ascent on
+sigmoid(score / T) with step size eta has the trace and decisions of this
+ascent with step size eta / T**2, whose coefficients are the former's over T.
 """
 
 from __future__ import annotations
@@ -19,26 +21,19 @@ from .features import FeatureMap, sigmoid
 
 @dataclass(frozen=True)
 class LinearPolicy:
-    """Treatment rule 1{theta . features(x) >= 0} with a smoothed relaxation."""
+    """Treatment rule 1{theta . features(x) >= 0}."""
 
     theta: np.ndarray
     fmap: FeatureMap
-    temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
         if len(self.theta) != self.fmap.p_out:
             raise ValueError(f"theta has {len(self.theta)} entries, feature map produces {self.fmap.p_out}")
 
     def score(self, x: np.ndarray) -> np.ndarray:
         return self.fmap.expand(x) @ self.theta
 
-    def smooth_value(self, x: np.ndarray) -> np.ndarray:
-        return sigmoid(self.score(x) / self.temperature)
-
     def decide(self, x: np.ndarray) -> np.ndarray:
-        """Hard decisions; independent of the temperature."""
         return (self.score(x) >= 0.0).astype(float)
 
     def to_dict(self) -> dict:
@@ -46,15 +41,14 @@ class LinearPolicy:
             "theta": [float(t) for t in self.theta],
             "feature_map": self.fmap.kind,
             "p_in": self.fmap.p_in,
-            "temperature": float(self.temperature),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LinearPolicy":
+        """Load ``to_dict`` output; a ``temperature`` key of older files is ignored."""
         return cls(
             theta=np.asarray(payload["theta"], dtype=float),
             fmap=FeatureMap(payload["feature_map"], int(payload["p_in"])),
-            temperature=float(payload.get("temperature", 1.0)),
         )
 
 
@@ -75,21 +69,15 @@ class OraclePolicy:
 class LearnerConfig:
     """Mini-batch gradient ascent settings for the smoothed reward objective.
 
-    ``standardize`` rescales non-intercept features to zero mean and unit
-    spread inside the optimizer (a diagonal preconditioner); the returned
-    coefficients are always expressed in original feature coordinates, so
-    decisions are unaffected by the reparameterization itself.
-    ``anneal_to`` optionally decays the temperature geometrically from
-    ``temperature`` to the given value across epochs.
+    The optimizer always standardizes the non-intercept features to zero mean
+    and unit spread (a diagonal preconditioner); the returned coefficients are
+    expressed in original feature coordinates.
     """
 
     feature_map: str = "raw"
     batch_size: int = 128
     step_size: float = 0.05
     max_epochs: int = 500
-    temperature: float = 1.0
-    anneal_to: float | None = None
-    standardize: bool = True
     seed: int = 0
 
 
@@ -116,8 +104,8 @@ def learn_policies(
 ) -> list[tuple[LinearPolicy, TrainingTrace] | FloatingPointError]:
     """Maximize the smoothed estimated reward for several coefficient sets at once.
 
-    Set j's objective is mean_i[sigmoid(theta_j . f_i / T) * a_ji + b_ji]; its
-    exact per-sample gradient a_ji * sigmoid'(z_ji) * f_i / T drives plain
+    Set j's objective is mean_i[sigmoid(theta_j . f_i) * a_ji + b_ji]; its
+    exact per-sample gradient a_ji * sigmoid'(z_ji) * f_i drives plain
     mini-batch ascent from theta_j = 0 (the indifferent policy). The sets
     share the covariates and the seed, hence the mini-batch order, so one loop
     moves every theta_j. It uses only batched matrix-vector products, so each
@@ -144,7 +132,7 @@ def learn_policies(
 
     shift = np.zeros(k)
     scale = np.ones(k)
-    if config.standardize and k > 1:
+    if k > 1:
         shift[1:] = F[:, 1:].mean(axis=0)
         sd = F[:, 1:].std(axis=0)
         scale[1:] = np.where(sd > 0, sd, 1.0)
@@ -158,30 +146,23 @@ def learn_policies(
     rng = np.random.default_rng(config.seed)
     theta = np.zeros((m, k))
 
-    def temperature_at(epoch: int) -> float:
-        if config.anneal_to is None or config.max_epochs <= 1:
-            return config.temperature
-        ratio = config.anneal_to / config.temperature
-        return config.temperature * ratio ** (epoch / (config.max_epochs - 1))
+    def objectives(theta: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        return np.mean(sigmoid((Fs @ theta[:, :, None])[..., 0]) * A + B, axis=1)
 
-    def objectives(theta: np.ndarray, A: np.ndarray, B: np.ndarray, temp: float) -> np.ndarray:
-        return np.mean(sigmoid((Fs @ theta[:, :, None])[..., 0] / temp) * A + B, axis=1)
-
-    traces = [[float(obj)] for obj in objectives(theta, A, B, temperature_at(0))]
+    traces = [[float(obj)] for obj in objectives(theta, A, B)]
     best_theta, best_epoch = theta.copy(), [0] * m
     results: list = [None] * m
 
     for epoch in range(config.max_epochs):
         if live.size == 0:
             break
-        temp = temperature_at(epoch)
         order = rng.permutation(n)
         F_epoch, A_epoch = Fs[order], A[:, order]
         for start in range(0, n, config.batch_size):
             Fb = F_epoch[start : start + config.batch_size]
-            sz = sigmoid((Fb @ theta[:, :, None])[..., 0] / temp)
+            sz = sigmoid((Fb @ theta[:, :, None])[..., 0])
             w = A_epoch[:, start : start + config.batch_size] * sz * (1.0 - sz)
-            grad = (w[:, None, :] @ Fb)[:, 0, :] / (len(Fb) * temp)
+            grad = (w[:, None, :] @ Fb)[:, 0, :] / len(Fb)
             theta = theta + config.step_size * grad
         # a non-finite gradient leaves theta non-finite for good, so once per epoch suffices
         finite = np.isfinite(theta).all(axis=1)
@@ -189,18 +170,17 @@ def learn_policies(
             for j in live[~finite]:
                 results[j] = FloatingPointError("non-finite policy gradient; check reward coefficients")
             live, theta, A, B = live[finite], theta[finite], A[finite], B[finite]
-        for row, (j, obj) in enumerate(zip(live, objectives(theta, A, B, temp))):
+        for row, (j, obj) in enumerate(zip(live, objectives(theta, A, B))):
             traces[j].append(float(obj))
             if obj > traces[j][best_epoch[j]]:
                 best_theta[j], best_epoch[j] = theta[row], epoch + 1
 
-    final_temp = temperature_at(max(config.max_epochs - 1, 0))
     for j in live:
         # report theta in original feature coordinates
         theta_raw = best_theta[j] / scale
         if k > 1:
             theta_raw[0] = best_theta[j, 0] - float(np.sum(best_theta[j, 1:] * shift[1:] / scale[1:]))
-        policy = LinearPolicy(theta=theta_raw, fmap=fmap, temperature=final_temp)
+        policy = LinearPolicy(theta=theta_raw, fmap=fmap)
         results[j] = (policy, TrainingTrace(objectives=traces[j], best_epoch=best_epoch[j]))
     return results
 
@@ -219,14 +199,3 @@ def learn_policy(
     if isinstance(result, FloatingPointError):
         raise result
     return result
-
-
-def policy_error(policy: LinearPolicy | OraclePolicy, oracle: OraclePolicy, target_covariates: np.ndarray) -> float:
-    """Mean squared disagreement of hard decisions on target rows.
-
-    Both rules are 0/1, so this equals the disagreement rate.
-    """
-    X = np.atleast_2d(np.asarray(target_covariates, dtype=float))
-    if X.shape[0] == 0:
-        raise ValueError("policy error needs a nonempty target set")
-    return float(np.mean((policy.decide(X) - oracle.decide(X)) ** 2))

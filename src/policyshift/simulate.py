@@ -11,6 +11,7 @@ supports bias, coverage and robustness studies against known truth.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -23,6 +24,31 @@ from .policy import LinearPolicy, OraclePolicy
 
 TRUTH_CLIP = 1e-12  # known scores satisfy overlap; keep clipping inert
 SIDECAR_COLUMNS = ("y1", "y0", "mu0_true", "mu1_true", "e1_true", "s_true")
+_KIND_NAMES = {
+    bool: "true or false", int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"
+}
+
+
+def json_option(section: str, key: str, value, kind: type):
+    """A JSON config value as ``kind``, refusing to coerce any other type.
+
+    An integral float counts as an integer (``2048.0``); a bool is never a
+    number, and the NaN and Infinity that Python's JSON reader accepts are not
+    numbers either.
+    """
+    if kind is int:
+        ok = type(value) is int or (type(value) is float and value.is_integer())
+    elif kind is float:
+        ok = type(value) is int or (type(value) is float and math.isfinite(value))
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise ValueError(f"{section} option {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _json_numbers(key: str, value) -> tuple[float, ...]:
+    return tuple(json_option("simulation", key, v, float) for v in json_option("simulation", key, value, list))
 
 
 def feature_transform(x: np.ndarray) -> np.ndarray:
@@ -99,26 +125,18 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SimConfig":
-        fields = {}
-        for key in payload:
-            if key in ("mu_source", "mu_target"):
-                fields[key] = tuple(float(v) for v in payload[key])
-            elif key in ("cov_source", "cov_target"):
-                fields[key] = tuple(tuple(float(v) for v in row) for row in payload[key])
-            elif key in ("n_source", "n_target", "seed"):
-                value = payload[key]
-                if type(value) is not int and not (type(value) is float and value.is_integer()):
-                    raise ValueError(f"simulation option {key!r} must be an integer, got {value!r}")
-                fields[key] = int(value)
-            elif key == "shared_noise":
-                if type(payload[key]) is not bool:
-                    raise ValueError(f"simulation option 'shared_noise' must be true or false, got {payload[key]!r}")
-                fields[key] = payload[key]
-            elif key in ("beta_treatment", "noise_sd"):
-                fields[key] = float(payload[key])
-            else:
+        defaults = cls().to_dict()
+        options = {}
+        for key, value in payload.items():
+            if key not in defaults:
                 raise ValueError(f"unknown simulation option {key!r}")
-        return cls(**fields)
+            if key in ("mu_source", "mu_target"):
+                options[key] = _json_numbers(key, value)
+            elif key in ("cov_source", "cov_target"):
+                options[key] = tuple(_json_numbers(key, row) for row in json_option("simulation", key, value, list))
+            else:
+                options[key] = json_option("simulation", key, value, type(defaults[key]))
+        return cls(**options)
 
 
 @dataclass(frozen=True)

@@ -134,18 +134,19 @@ def masked_sigmoid(z) -> np.ndarray:
     return out
 
 
-def stepwise_learner(a, b, covariates, config) -> tuple[np.ndarray, list[float], int]:
+def stepwise_learner(a, b, covariates, config, temperature: float = 1.0) -> tuple[np.ndarray, list[float], int]:
     """One coefficient set's mini-batch ascent, one gathered batch and one check per step.
 
-    Returns the reported theta (original feature coordinates), the objective
-    trace and the best epoch. Raises ``FloatingPointError`` at the first
-    non-finite gradient.
+    The objective is mean(sigmoid(theta . f / temperature) * a + b). Returns
+    the reported theta (original feature coordinates), the objective trace
+    and the best epoch. Raises ``FloatingPointError`` at the first non-finite
+    gradient.
     """
     X = np.atleast_2d(np.asarray(covariates, dtype=float))
     F = FeatureMap(config.feature_map, X.shape[1]).expand(X)
     n, k = F.shape
     shift, scale = np.zeros(k), np.ones(k)
-    if config.standardize and k > 1:
+    if k > 1:
         shift[1:] = F[:, 1:].mean(axis=0)
         sd = F[:, 1:].std(axis=0)
         scale[1:] = np.where(sd > 0, sd, 1.0)
@@ -153,28 +154,21 @@ def stepwise_learner(a, b, covariates, config) -> tuple[np.ndarray, list[float],
     rng = np.random.default_rng(config.seed)
     theta = np.zeros(k)
 
-    def temperature_at(epoch):
-        if config.anneal_to is None or config.max_epochs <= 1:
-            return config.temperature
-        ratio = config.anneal_to / config.temperature
-        return config.temperature * ratio ** (epoch / (config.max_epochs - 1))
+    def objective(t):
+        return float(np.mean(masked_sigmoid(Fs @ t / temperature) * a + b))
 
-    def objective(t, temp):
-        return float(np.mean(masked_sigmoid(Fs @ t / temp) * a + b))
-
-    trace = [objective(theta, temperature_at(0))]
+    trace = [objective(theta)]
     best_obj, best_theta, best_epoch = trace[0], theta.copy(), 0
     for epoch in range(config.max_epochs):
-        temp = temperature_at(epoch)
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            sz = masked_sigmoid(Fs[idx] @ theta / temp)
-            grad = (a[idx] * sz * (1.0 - sz)) @ Fs[idx] / (len(idx) * temp)
+            sz = masked_sigmoid(Fs[idx] @ theta / temperature)
+            grad = (a[idx] * sz * (1.0 - sz)) @ Fs[idx] / (len(idx) * temperature)
             if not np.all(np.isfinite(grad)):
                 raise FloatingPointError("non-finite policy gradient; check reward coefficients")
             theta = theta + config.step_size * grad
-        obj = objective(theta, temp)
+        obj = objective(theta)
         trace.append(obj)
         if obj > best_obj:
             best_obj, best_theta, best_epoch = obj, theta.copy(), epoch + 1

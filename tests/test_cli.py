@@ -94,7 +94,15 @@ def test_errors_exit_nonzero(tmp_path, config_path, capsys):
 
 @pytest.mark.parametrize(
     "section, key, value",
-    [("nuisance", "max_iter", 5), ("nuisance", "tol", 1e-6), ("learner", "epochs", 10), ("sim", "n_rows", 10)],
+    [
+        ("nuisance", "max_iter", 5),
+        ("nuisance", "tol", 1e-6),
+        ("learner", "epochs", 10),
+        ("learner", "temperature", 0.5),
+        ("learner", "anneal_to", 0.05),
+        ("learner", "standardize", False),
+        ("sim", "n_rows", 10),
+    ],
 )
 def test_unknown_config_keys_exit_2_and_name_the_key(tmp_path, capsys, section, key, value):
     path = tmp_path / "config.json"
@@ -102,6 +110,38 @@ def test_unknown_config_keys_exit_2_and_name_the_key(tmp_path, capsys, section, 
     assert main(["table", "--config", str(path), "--reps", "2", "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+    if section != "sim":
+        assert f"unknown {section} options" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+# every one of these is refused while loading the config, before any replication runs
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({"nuisance": {"folds": "5"}}, "folds"),
+        ({"nuisance": {"clip": False}}, "clip"),
+        ({"nuisance": {"outcome_map": 1}}, "outcome_map"),
+        ({"learner": {"max_epochs": "5"}}, "max_epochs"),
+        ({"learner": {"batch_size": 16.5}}, "batch_size"),
+        ({"learner": {"step_size": True}}, "step_size"),
+        ({"learner": {"step_size": float("nan")}}, "step_size"),
+        ({"sim": {"noise_sd": None}}, "noise_sd"),
+        ({"sim": {"noise_sd": float("inf")}}, "noise_sd"),
+        ({"sim": {"beta_treatment": "0.5"}}, "beta_treatment"),
+        ({"sim": {"mu_source": [10.0, "3", 7.0]}}, "mu_source"),
+        ({"sim": {"cov_target": 2.0}}, "cov_target"),
+        ({"learner": 5}, "learner"),
+        (["sim"], "JSON object"),
+        ({"welfare_scope": "everything"}, "welfare_scope"),
+    ],
+)
+def test_misconfigured_values_exit_2_and_name_the_key(tmp_path, capsys, payload, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["table", "--config", str(path), "--reps", "2", "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -8,7 +8,9 @@ from policyshift import (
     ExperimentConfig,
     LearnerConfig,
     NuisanceConfig,
+    OraclePolicy,
     SimConfig,
+    conditional_effect,
     evaluate_policy,
     generate,
     run_replication,
@@ -43,6 +45,12 @@ def test_oracle_policy_has_zero_regret():
     metrics = evaluate_policy(sim.oracle, sim)
     assert metrics.regret == 0.0
     assert metrics.policy_error == 0.0
+
+
+def test_the_complement_of_the_oracle_disagrees_on_every_target_row():
+    sim = generate(SimConfig(n_source=32, n_target=64, seed=2))
+    complement = OraclePolicy(cate=lambda x: -conditional_effect(x))
+    assert evaluate_policy(complement, sim).policy_error == 1.0
 
 
 def test_welfare_scope_changes_the_sum():
@@ -193,9 +201,15 @@ def test_config_round_trips_through_dict():
     config = ExperimentConfig(
         sim=SimConfig(n_source=10, n_target=20, seed=3, beta_treatment=0.2),
         nuisance=NuisanceConfig(outcome_map="quadratic", clip=0.02),
-        learner=LearnerConfig(max_epochs=7, standardize=False),
+        learner=LearnerConfig(max_epochs=7, step_size=0.1),
         welfare_scope="target",
     )
     assert ExperimentConfig.from_dict(config.to_dict()) == config
     with pytest.raises(ValueError, match="unknown config sections"):
         ExperimentConfig.from_dict({"simulation": {}})
+    with pytest.raises(ValueError, match="welfare_scope must be one of"):
+        ExperimentConfig(welfare_scope="everything")
+    # JSON integers for int fields (an integral float too) and any number for float fields
+    learner = ExperimentConfig.from_dict({"learner": {"max_epochs": 7.0, "step_size": 1}}).learner
+    assert learner == LearnerConfig(max_epochs=7, step_size=1.0)
+    assert type(learner.max_epochs) is int and type(learner.step_size) is float

@@ -1,3 +1,7 @@
+import ast
+import importlib
+from pathlib import Path
+
 import policyshift
 
 # The public surface, spelled out so that adding or dropping an export is a
@@ -40,7 +44,6 @@ PUBLIC_NAMES = [
     "learn_policies",
     "learn_policy",
     "paired_t_test",
-    "policy_error",
     "population_reward",
     "read_truth_csv",
     "require_valid",
@@ -66,3 +69,14 @@ def test_public_surface_is_the_pinned_list():
     assert len(exported) == len(set(exported))
     assert all(hasattr(policyshift, name) for name in exported)
     assert sorted(exported) == PUBLIC_NAMES
+
+
+def test_every_name_a_demo_imports_from_the_package_resolves():
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    assert demos
+    for demo in demos:
+        for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "policyshift":
+                module = importlib.import_module(node.module)
+                missing = [alias.name for alias in node.names if not hasattr(module, alias.name)]
+                assert not missing, f"{demo.name} imports {missing} from {node.module}"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from policyshift import (
     generate,
     learn_policies,
     learn_policy,
-    policy_error,
     reward_coefficients,
     true_nuisances,
 )
@@ -74,8 +75,8 @@ def test_sign_boundary_is_recovered_and_matches_grid_search():
     x = rng.normal(size=(300, 1))
     a = np.sign(x[:, 0])
     coeffs = coeffs_from(a)
-    # annealing sharpens the relaxation enough to resolve near-boundary points
-    policy, _ = learn_policy(coeffs, x, LearnerConfig(max_epochs=150, seed=3, anneal_to=0.05))
+    # a large step is a sharp relaxation (temperature 0.05 at step 0.05), which resolves near-boundary points
+    policy, _ = learn_policy(coeffs, x, LearnerConfig(max_epochs=150, seed=3, step_size=20.0))
     decisions = policy.decide(x)
     assert policy.theta[1] > 0
     assert np.mean(decisions == (a > 0)) == 1.0
@@ -95,16 +96,6 @@ def test_rescaled_gains_with_rescaled_step_leave_decisions_unchanged():
     assert np.allclose(base.theta, scaled.theta, rtol=1e-9, atol=1e-12)
 
 
-def test_hard_decisions_ignore_temperature():
-    theta = np.array([0.2, -1.0, 0.5])
-    fmap = FeatureMap("raw", 2)
-    x = np.random.default_rng(6).normal(size=(50, 2))
-    cold = LinearPolicy(theta=theta, fmap=fmap, temperature=0.1)
-    hot = LinearPolicy(theta=theta, fmap=fmap, temperature=10.0)
-    assert np.array_equal(cold.decide(x), hot.decide(x))
-    assert not np.allclose(cold.smooth_value(x), hot.smooth_value(x))
-
-
 def test_best_epoch_objective_dominates_initialization():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(120, 2))
@@ -113,15 +104,6 @@ def test_best_epoch_objective_dominates_initialization():
     _, trace = learn_policy(coeffs_from(a, b), x, LearnerConfig(max_epochs=30, seed=8, batch_size=64))
     assert trace.best_objective >= trace.initial_objective
     assert len(trace.objectives) == 31
-
-
-def test_annealing_reaches_configured_temperature():
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(60, 1))
-    policy, _ = learn_policy(
-        coeffs_from(rng.normal(size=60)), x, LearnerConfig(max_epochs=20, temperature=1.0, anneal_to=0.1, seed=10, batch_size=32)
-    )
-    assert policy.temperature == pytest.approx(0.1, rel=1e-9)
 
 
 def test_learner_input_validation():
@@ -133,23 +115,19 @@ def test_learner_input_validation():
 
 
 def test_policy_round_trip_serialization():
-    policy = LinearPolicy(theta=np.array([0.5, -2.0]), fmap=FeatureMap("raw", 1), temperature=0.3)
+    policy = LinearPolicy(theta=np.array([0.5, -2.0]), fmap=FeatureMap("raw", 1))
     clone = LinearPolicy.from_dict(policy.to_dict())
     x = np.random.default_rng(11).normal(size=(20, 1))
     assert np.array_equal(policy.decide(x), clone.decide(x))
-    assert clone.temperature == policy.temperature
+    assert np.array_equal(clone.theta, policy.theta)
 
 
-def test_policy_error_identity_and_complement():
-    oracle = OraclePolicy(cate=lambda x: x[:, 0])
-    agree = LinearPolicy(theta=np.array([0.0, 1.0]), fmap=FeatureMap("raw", 1))
-    disagree = LinearPolicy(theta=np.array([-1e-9, -1.0]), fmap=FeatureMap("raw", 1))
-    x = np.linspace(-2, 2, 101).reshape(-1, 1)
-    x = x[x[:, 0] != 0].reshape(-1, 1)  # avoid the tie point, where the rules differ by convention
-    assert policy_error(agree, oracle, x) == 0.0
-    assert policy_error(disagree, oracle, x) == 1.0
-    with pytest.raises(ValueError, match="nonempty"):
-        policy_error(agree, oracle, np.zeros((0, 1)))
+def test_a_policy_file_with_a_temperature_loads_and_decides_as_before():
+    payload = {"theta": [0.2, -1.0, 0.5], "feature_map": "raw", "p_in": 2, "temperature": 0.3}
+    policy = LinearPolicy.from_dict(payload)
+    x = np.random.default_rng(6).normal(size=(50, 2))
+    assert np.array_equal(policy.decide(x), LinearPolicy(theta=np.array([0.2, -1.0, 0.5]), fmap=FeatureMap("raw", 2)).decide(x))
+    assert policy.to_dict() == {"theta": [0.2, -1.0, 0.5], "feature_map": "raw", "p_in": 2}
 
 
 def same_result(result, other):
@@ -158,7 +136,6 @@ def same_result(result, other):
         np.array_equal(policy.theta, policy_o.theta)
         and np.array_equal(trace.objectives, trace_o.objectives)
         and trace.best_epoch == trace_o.best_epoch
-        and policy.temperature == policy_o.temperature
     )
 
 
@@ -188,12 +165,24 @@ def test_batched_learner_is_bitwise_separate_runs_on_default_replications(seed):
         assert all(matches_stepwise(result, c, x, config) for c, result in zip(coeffs, batched))
 
 
+# a power-of-two temperature scales exactly, so (step eta, temperature T) is bitwise (eta / T**2, 1) with theta / T
+@pytest.mark.parametrize("temperature", [0.25, 0.5, 2.0])
+def test_a_temperature_is_a_rescaled_step_size_bit_for_bit(temperature):
+    x, coeffs = default_replication_inputs(2_000_024)
+    config = LearnerConfig(seed=2_000_024, max_epochs=200)
+    rescaled = learn_policies(coeffs, x, replace(config, step_size=config.step_size / temperature**2))
+    for coeffs_j, (policy, trace) in zip(coeffs, rescaled):
+        theta, objectives, best_epoch = stepwise_learner(coeffs_j.a, coeffs_j.b, x, config, temperature=temperature)
+        assert np.array_equal(theta / temperature, policy.theta)
+        assert objectives == trace.objectives and best_epoch == trace.best_epoch
+
+
 @pytest.mark.parametrize(
     "n,p,config",
     [
-        (203, 2, LearnerConfig(max_epochs=25, batch_size=16, anneal_to=0.05, seed=1)),
-        (150, 3, LearnerConfig(max_epochs=20, batch_size=64, standardize=False, step_size=0.2, seed=2)),
-        (97, 2, LearnerConfig(feature_map="quadratic", max_epochs=15, batch_size=10, temperature=0.5, seed=3)),
+        (203, 2, LearnerConfig(max_epochs=25, batch_size=16, seed=1)),
+        (150, 3, LearnerConfig(max_epochs=20, batch_size=64, step_size=0.2, seed=2)),
+        (97, 2, LearnerConfig(feature_map="quadratic", max_epochs=15, batch_size=10, seed=3)),
         (40, 1, LearnerConfig(feature_map="intercept", max_epochs=10, batch_size=40, seed=4)),
     ],
 )
