@@ -52,13 +52,23 @@ class FeatureMap:
         return np.hstack(cols)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function.
 
     With e = exp(-|z|), which never overflows, this is 1 / (1 + e) for z >= 0
     and e / (1 + e) for z < 0: the same operations, bit for bit, as the usual
-    form for each sign.
+    form for each sign, since the numerator exp(min(z, 0)) is exactly 1 or e.
+    A caller in a loop can pass ``out`` for the result and ``work`` for
+    scratch, float arrays of z's shape, and then allocates nothing; ``work``
+    may be z itself, which it overwrites.
     """
     z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    out = np.empty_like(z) if out is None else out
+    e = np.empty_like(z) if work is None else work
+    np.minimum(z, 0.0, out=out)
+    np.exp(out, out=out)
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(e, 1.0, out=e)
+    return np.divide(out, e, out=out)

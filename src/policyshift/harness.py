@@ -2,9 +2,12 @@
 
 Every replication draws a fresh simulated dataset (seed = base seed +
 replication index), fits one shared set of nuisance models, learns every
-estimation method's policy in one batched ascent, then evaluates each.
-Results are collected in replication order regardless of worker scheduling,
-so reports are byte-identical for any worker count.
+estimation method's policy, then evaluates each. A table stages its
+replications: all are generated and fitted first, then every policy of every
+replication is learned in one batched ascent that leaves each replication's
+arithmetic as in a run alone, then each is evaluated. Results are collected
+in replication order regardless of worker scheduling, so reports are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +24,7 @@ import numpy as np
 from .estimators import RewardEstimate, bias_diagnostic, estimate, generalization_bound, reward_coefficients
 from .features import FeatureMap
 from .nuisance import FitError, NuisanceConfig, fit_nuisances
-from .policy import LearnerConfig, LinearPolicy, OraclePolicy, learn_policies
+from .policy import LearnerConfig, LinearPolicy, OraclePolicy, _ascend
 from .policy import learn_policy  # noqa: F401 -- perfbench/tracer.py wraps harness.learn_policy by name
 from .simulate import SimConfig, SimulatedData, generate, json_option, shift_sweep_config
 from .stats import paired_t_test
@@ -130,12 +134,12 @@ def _estimate_to_dict(est: RewardEstimate) -> dict:
     }
 
 
-def run_replication(config: ExperimentConfig, replication: int, methods: tuple[str, ...] = DEFAULT_METHODS) -> dict:
-    """Run one generate / fit / learn / evaluate cycle.
+def _stage(config: ExperimentConfig, replication: int, methods: tuple[str, ...]) -> tuple[dict, tuple | None]:
+    """Generate, fit, bound and build every method's coefficients for one replication.
 
-    Returns a JSON-ready dict. A failure in a shared stage (generation or
-    nuisance fitting) fails the whole replication; a failure inside one
-    method's stage is recorded for that method only.
+    Returns the record so far and what learning and evaluation need, or no
+    stage when a shared step (generation or nuisance fitting) failed, which
+    fails the whole replication.
     """
     seed = config.sim.seed + replication
     record: dict = {"replication": replication, "seed": seed}
@@ -144,25 +148,53 @@ def run_replication(config: ExperimentConfig, replication: int, methods: tuple[s
         nuisances = fit_nuisances(sim.dataset, config.nuisance)
     except (FitError, ValueError, np.linalg.LinAlgError) as exc:
         record["error"] = f"{type(exc).__name__}: {exc}"
-        return record
+        return record, None
 
     record["nuisance_coefficients"] = nuisances.coefficients()
     record["methods"] = {}
-    learner = replace(config.learner, seed=seed)
     # finite-class size for the bound: grid discretization of the policy class
     policy_class_size = 10 ** FeatureMap(config.learner.feature_map, sim.dataset.p).p_out
     # the bound depends on the nuisances only, not on the method or its policy
     bound = generalization_bound(sim.dataset, nuisances, BOUND_ETA, policy_class_size)
-    coeffs, learned = {}, {}
+    coeffs, failed = {}, {}
     for method in methods:
         try:
             coeffs[method] = reward_coefficients(sim.dataset, nuisances, method, "r")
         except (FitError, ValueError, FloatingPointError) as exc:
-            learned[method] = exc
-    try:
-        learned.update(zip(coeffs, learn_policies(list(coeffs.values()), sim.dataset.covariates, learner)))
-    except ValueError as exc:  # shared by every method: batch size or row alignment
-        learned.update(dict.fromkeys(coeffs, exc))
+            failed[method] = exc
+    return record, (sim, nuisances, bound, coeffs, failed)
+
+
+def _run_replications(config: ExperimentConfig, replications: range, methods: tuple[str, ...]) -> list[dict]:
+    """Stage every replication, learn all their policies in one ascent, then evaluate.
+
+    The ascent treats each replication as its own group (its covariates, and
+    its simulation seed as the learner seed), so its record is that of a run
+    alone. A replication's staged data is released once its record is written.
+    """
+    records, staged = [], []
+    for replication in replications:
+        record, stage = _stage(config, replication, methods)
+        records.append(record)
+        if stage is not None:
+            staged.append((record, stage))
+    groups = [
+        (list(coeffs.values()), sim.dataset.covariates, record["seed"]) for record, (sim, _, _, coeffs, _) in staged
+    ]
+    group_results = _ascend(groups, config.learner)
+    del groups
+    for i, results in enumerate(group_results):
+        _evaluate(*staged[i], results, config, methods)
+        staged[i] = None
+    return records
+
+
+def _evaluate(record: dict, stage: tuple, results, config: ExperimentConfig, methods: tuple[str, ...]) -> None:
+    """Score each method's learned policy into ``record``, or record why it failed."""
+    sim, nuisances, bound, coeffs, failed = stage
+    if isinstance(results, ValueError):  # shared by every method: batch size or row alignment
+        results = [results] * len(coeffs)
+    learned = {**failed, **dict(zip(coeffs, results))}
     for method in methods:
         try:
             if isinstance(learned[method], Exception):
@@ -183,6 +215,16 @@ def run_replication(config: ExperimentConfig, replication: int, methods: tuple[s
             }
         except (FitError, ValueError, FloatingPointError) as exc:
             record["methods"][method] = {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def run_replication(config: ExperimentConfig, replication: int, methods: tuple[str, ...] = DEFAULT_METHODS) -> dict:
+    """Run one generate / fit / learn / evaluate cycle.
+
+    Returns a JSON-ready dict. A failure in a shared stage (generation or
+    nuisance fitting) fails the whole replication; a failure inside one
+    method's stage is recorded for that method only.
+    """
+    (record,) = _run_replications(config, range(replication, replication + 1), tuple(methods))
     return record
 
 
@@ -223,11 +265,6 @@ class ExperimentReport:
         return np.asarray(values, dtype=float)
 
 
-def _worker(args: tuple[ExperimentConfig, int, tuple[str, ...]]) -> dict:
-    config, replication, methods = args
-    return run_replication(config, replication, methods)
-
-
 def run_table(
     config: ExperimentConfig,
     replications: int,
@@ -245,12 +282,16 @@ def run_table(
     unknown = [m for m in methods if m not in DEFAULT_METHODS]
     if unknown:
         raise ValueError(f"unknown methods: {unknown}")
-    jobs = [(config, r, tuple(methods)) for r in range(replications)]
     if workers > 1:
+        # each worker stages and learns a contiguous chunk of replications
+        chunks = min(workers, replications)
+        bounds = [replications * c // chunks for c in range(chunks + 1)]
+        ranges = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_worker, jobs))
+            chunk_records = pool.map(_run_replications, repeat(config), ranges, repeat(tuple(methods)))
+            records = [record for chunk in chunk_records for record in chunk]
     else:
-        records = [_worker(job) for job in jobs]
+        records = _run_replications(config, range(replications), tuple(methods))
 
     aggregates: dict = {}
     completed: dict = {}

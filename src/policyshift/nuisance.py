@@ -9,6 +9,7 @@ ridge-penalized logistic regression via iteratively reweighted least squares
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -221,6 +222,16 @@ class NuisanceConfig:
     logistic_ridge: float = DEFAULT_LOGISTIC_RIDGE
     clip: float = DEFAULT_CLIP
     folds: int = 1
+
+    def __post_init__(self) -> None:
+        if self.folds < 1:
+            raise ValueError(f"nuisance folds must be at least 1, got {self.folds!r}")
+        for name in ("outcome_ridge", "logistic_ridge"):
+            ridge = getattr(self, name)
+            if not (math.isfinite(ridge) and ridge >= 0):
+                raise ValueError(f"nuisance {name} must be nonnegative and finite, got {ridge!r}")
+        if not 0.0 < self.clip < 0.5:
+            raise ValueError(f"nuisance clip must lie in (0, 0.5), got {self.clip!r}")
 
 
 def crossfit_folds(dataset: CombinedDataset, folds: int) -> np.ndarray:

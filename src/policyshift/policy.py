@@ -10,6 +10,7 @@ ascent with step size eta / T**2, whose coefficients are the former's over T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -71,7 +72,8 @@ class LearnerConfig:
 
     The optimizer always standardizes the non-intercept features to zero mean
     and unit spread (a diagonal preconditioner); the returned coefficients are
-    expressed in original feature coordinates.
+    expressed in original feature coordinates. ``max_epochs = 0`` returns the
+    initial point.
     """
 
     feature_map: str = "raw"
@@ -79,6 +81,14 @@ class LearnerConfig:
     step_size: float = 0.05
     max_epochs: int = 500
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(f"learner batch_size must be at least 1, got {self.batch_size!r}")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"learner step_size must be positive and finite, got {self.step_size!r}")
+        if self.max_epochs < 0:
+            raise ValueError(f"learner max_epochs must be nonnegative, got {self.max_epochs!r}")
 
 
 @dataclass(frozen=True)
@@ -108,10 +118,8 @@ def learn_policies(
     exact per-sample gradient a_ji * sigmoid'(z_ji) * f_i drives plain
     mini-batch ascent from theta_j = 0 (the indifferent policy). The sets
     share the covariates and the seed, hence the mini-batch order, so one loop
-    moves every theta_j. It uses only batched matrix-vector products, so each
-    theta_j sees exactly the arithmetic of a run on its own set: a
-    matrix-matrix product sums in another order, and the ascent amplifies
-    last-bit differences.
+    moves every theta_j, and each theta_j sees exactly the arithmetic of a run
+    on its own set.
 
     Each result is ``(policy, trace)``, with the coefficients of the epoch with
     the best full-data smoothed objective, the initial point included; or, for
@@ -120,69 +128,137 @@ def learn_policies(
     Misaligned rows and a bad batch size raise ``ValueError`` for all sets.
     """
     config = config or LearnerConfig()
-    X = np.atleast_2d(np.asarray(covariates, dtype=float))
-    n = X.shape[0]
-    if any(coeffs.n != n for coeffs in coeffs_seq):
-        raise ValueError("coefficients and covariates are not aligned")
-    if config.batch_size < 1 or config.batch_size > n:
-        raise ValueError("batch_size must lie in [1, n]")
-    fmap = FeatureMap(config.feature_map, X.shape[1])
-    F = fmap.expand(X)
-    k = F.shape[1]
+    (results,) = _ascend([(coeffs_seq, covariates, config.seed)], config)
+    if isinstance(results, ValueError):
+        raise results
+    return results
 
-    shift = np.zeros(k)
-    scale = np.ones(k)
-    if k > 1:
-        shift[1:] = F[:, 1:].mean(axis=0)
-        sd = F[:, 1:].std(axis=0)
-        scale[1:] = np.where(sd > 0, sd, 1.0)
-    Fs = (F - shift) / scale
 
-    # rows of theta, A and B belong to the sets still ascending, listed in `live`
-    m = len(coeffs_seq)
-    live = np.arange(m)
-    A = np.array([coeffs.a for coeffs in coeffs_seq], dtype=float).reshape(m, n)
-    B = np.array([coeffs.b for coeffs in coeffs_seq], dtype=float).reshape(m, n)
-    rng = np.random.default_rng(config.seed)
-    theta = np.zeros((m, k))
+def _ascend(
+    groups: Sequence[tuple[Sequence[RewardCoefficients], np.ndarray, int]],
+    config: LearnerConfig,
+) -> list[list[tuple[LinearPolicy, TrainingTrace] | FloatingPointError] | ValueError]:
+    """``learn_policies`` for several groups in one loop, bit for bit.
 
-    def objectives(theta: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return np.mean(sigmoid((Fs @ theta[:, :, None])[..., 0]) * A + B, axis=1)
+    A group is ``(coeffs_seq, covariates, seed)``: one replication's sets with
+    their own covariates, standardization and permutation stream (``seed``
+    replaces ``config.seed``). Groups must share the covariate shape. Each group's
+    entry is its ``learn_policies`` result, or the ``ValueError`` that call
+    would raise; a failed group leaves the others unchanged.
 
-    traces = [[float(obj)] for obj in objectives(theta, A, B)]
-    best_theta, best_epoch = theta.copy(), [0] * m
-    results: list = [None] * m
+    Every product is a stack of the (rows, k) @ (k, 1) and (1, rows) @
+    (rows, k) matrix-vector products that one set on its own computes, so each
+    theta sees exactly that arithmetic: a matrix-matrix product sums in another
+    order, and the ascent amplifies last-bit differences. Groups with fewer
+    sets are padded with zero coefficients, which keep theta at exactly 0, and
+    a set whose theta goes non-finite is frozen the same way; neither is
+    reported.
+    """
+    entries: list = []
+    members, standardized, sets, rngs, shapes = [], [], [], [], set()  # of the groups that pass the checks
+    for g, (coeffs_seq, covariates, seed) in enumerate(groups):
+        X = np.atleast_2d(np.asarray(covariates, dtype=float))
+        n = X.shape[0]
+        try:
+            if any(coeffs.n != n for coeffs in coeffs_seq):
+                raise ValueError("coefficients and covariates are not aligned")
+            if config.batch_size > n:  # LearnerConfig refuses a batch size below 1
+                raise ValueError("batch_size must lie in [1, n]")
+            fmap = FeatureMap(config.feature_map, X.shape[1])
+        except ValueError as exc:
+            entries.append(exc)
+            continue
+        entries.append([None] * len(coeffs_seq))
+        F = fmap.expand(X)
+        k = F.shape[1]
+        shift, scale = np.zeros(k), np.ones(k)
+        if k > 1:
+            shift[1:] = F[:, 1:].mean(axis=0)
+            sd = F[:, 1:].std(axis=0)
+            scale[1:] = np.where(sd > 0, sd, 1.0)
+        members.append(g)
+        shapes.add(X.shape)
+        standardized.append(((F - shift) / scale, shift, scale))
+        sets.append(coeffs_seq)
+        rngs.append(np.random.default_rng(seed))
+    if not members:
+        return entries
+    if len(shapes) > 1:
+        raise ValueError("groups must share the covariate shape")
+
+    ((n, p),) = shapes
+    fmap = FeatureMap(config.feature_map, p)
+    R, k, m = len(members), fmap.p_out, max(map(len, sets))
+    Fs, shift, scale = (np.stack(parts) for parts in zip(*standardized))
+    del standardized
+    # A is stored as (R, n, m), data rows first, so the row gather of Fs serves A too
+    At, B = np.zeros((R, n, m)), np.zeros((R, m, n))
+    A = At.transpose(0, 2, 1)
+    live = np.zeros((R, m), dtype=bool)
+    for r, coeffs_seq in enumerate(sets):
+        for j, coeffs in enumerate(coeffs_seq):
+            A[r, j], B[r, j], live[r, j] = coeffs.a, coeffs.b, True
+    theta = np.zeros((R, m, k))
+    row0 = (np.arange(R) * n)[:, None]  # flat offset of each group's first row
+    # every array the loop writes is allocated once: fresh temporaries of this
+    # size cost more than the arithmetic, so each call passes its ``out``
+    F_epoch, At_epoch = np.empty((R, n, k)), np.empty((R, n, m))
+    A_epoch = At_epoch.transpose(0, 2, 1)
+    grad = np.empty((R, m, 1, k))
+    batches = [(start, min(start + config.batch_size, n)) for start in range(0, n, config.batch_size)]
+    scratch = {width: (np.empty((R, m, width)), np.empty((R, m, width))) for width in {e - s for s, e in batches}}
+    scratch[n] = np.empty((R, m, n)), np.empty((R, m, n))
+
+    def smoothed(F: np.ndarray) -> np.ndarray:
+        """sigmoid(F . theta) of every set, in the scratch of F's row count."""
+        S, W = scratch[F.shape[2]]
+        z = np.matmul(F, theta[..., None], out=W[..., None])[..., 0]
+        return sigmoid(z, out=S, work=W)
+
+    def objectives() -> np.ndarray:
+        S = smoothed(Fs[:, None])
+        return np.add(np.multiply(S, A, out=S), B, out=S).mean(axis=-1)
+
+    history = [objectives()]
+    best_theta, best_obj, best_epoch = theta.copy(), history[0].copy(), np.zeros((R, m), dtype=int)
 
     for epoch in range(config.max_epochs):
-        if live.size == 0:
+        if not live.any():
             break
-        order = rng.permutation(n)
-        F_epoch, A_epoch = Fs[order], A[:, order]
-        for start in range(0, n, config.batch_size):
-            Fb = F_epoch[start : start + config.batch_size]
-            sz = sigmoid((Fb @ theta[:, :, None])[..., 0])
-            w = A_epoch[:, start : start + config.batch_size] * sz * (1.0 - sz)
-            grad = (w[:, None, :] @ Fb)[:, 0, :] / len(Fb)
-            theta = theta + config.step_size * grad
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        # take on flat rows gathers the bytes of fancy indexing several times faster
+        rows = order + row0
+        Fs.reshape(R * n, k).take(rows, axis=0, out=F_epoch)
+        At.reshape(R * n, m).take(rows, axis=0, out=At_epoch)
+        for start, end in batches:
+            Fb = F_epoch[:, None, start:end]
+            sz = smoothed(Fb)
+            one_minus_sz = np.subtract(1.0, sz, out=scratch[end - start][1])
+            w = np.multiply(np.multiply(A_epoch[..., start:end], sz, out=sz), one_minus_sz, out=sz)
+            gb = np.matmul(w[..., None, :], Fb, out=grad)[..., 0, :]
+            np.add(theta, np.multiply(config.step_size, np.divide(gb, end - start, out=gb), out=gb), out=theta)
         # a non-finite gradient leaves theta non-finite for good, so once per epoch suffices
-        finite = np.isfinite(theta).all(axis=1)
-        if not finite.all():
-            for j in live[~finite]:
-                results[j] = FloatingPointError("non-finite policy gradient; check reward coefficients")
-            live, theta, A, B = live[finite], theta[finite], A[finite], B[finite]
-        for row, (j, obj) in enumerate(zip(live, objectives(theta, A, B))):
-            traces[j].append(float(obj))
-            if obj > traces[j][best_epoch[j]]:
-                best_theta[j], best_epoch[j] = theta[row], epoch + 1
+        dead = ~np.isfinite(theta).all(axis=-1)
+        if dead.any():
+            for r, j in zip(*np.nonzero(dead & live)):
+                entries[members[r]][j] = FloatingPointError("non-finite policy gradient; check reward coefficients")
+            live &= ~dead
+            theta[dead], A[dead], B[dead] = 0.0, 0.0, 0.0
+        obj = objectives()
+        history.append(obj)
+        better = live & (obj > best_obj)
+        best_theta[better], best_obj[better], best_epoch[better] = theta[better], obj[better], epoch + 1
 
-    for j in live:
-        # report theta in original feature coordinates
-        theta_raw = best_theta[j] / scale
-        if k > 1:
-            theta_raw[0] = best_theta[j, 0] - float(np.sum(best_theta[j, 1:] * shift[1:] / scale[1:]))
-        policy = LinearPolicy(theta=theta_raw, fmap=fmap)
-        results[j] = (policy, TrainingTrace(objectives=traces[j], best_epoch=best_epoch[j]))
-    return results
+    history = np.stack(history, axis=-1)
+    for r, group in enumerate(members):
+        for j in np.flatnonzero(live[r]):
+            # report theta in original feature coordinates
+            theta_raw = best_theta[r, j] / scale[r]
+            if k > 1:
+                theta_raw[0] = best_theta[r, j, 0] - float(np.sum(best_theta[r, j, 1:] * shift[r, 1:] / scale[r, 1:]))
+            trace = TrainingTrace(objectives=history[r, j].tolist(), best_epoch=int(best_epoch[r, j]))
+            entries[group][j] = (LinearPolicy(theta=theta_raw, fmap=fmap), trace)
+    return entries
 
 
 def learn_policy(

@@ -98,6 +98,14 @@ class SimConfig:
             raise ValueError("both domains need at least one row")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
+        # the outcome surfaces read exactly three covariates
+        for name, shape in (("mu_source", (3,)), ("mu_target", (3,)), ("cov_source", (3, 3)), ("cov_target", (3, 3))):
+            try:
+                ok = np.shape(getattr(self, name)) == shape
+            except ValueError:  # ragged rows
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} must have shape {shape}, one entry per covariate")
         for name in ("cov_source", "cov_target"):
             cov = np.asarray(getattr(self, name), dtype=float)
             if not np.allclose(cov, cov.T):

@@ -134,6 +134,21 @@ def test_unknown_config_keys_exit_2_and_name_the_key(tmp_path, capsys, section, 
         ({"learner": 5}, "learner"),
         (["sim"], "JSON object"),
         ({"welfare_scope": "everything"}, "welfare_scope"),
+        # out of range or of the wrong shape, though of the right JSON type
+        ({"sim": {"mu_source": [1.0, 2.0]}}, "mu_source"),
+        ({"sim": {"mu_target": [9.0, 4.0, 6.0, 1.0]}}, "mu_target"),
+        ({"sim": {"cov_source": [[1.0, 0.0], [0.0, 1.0]]}}, "cov_source"),
+        ({"sim": {"cov_target": [[2.0, 0.0, 0.0], [0.0, 2.0]]}}, "cov_target"),
+        ({"learner": {"max_epochs": -3}}, "max_epochs"),
+        ({"learner": {"batch_size": 0}}, "batch_size"),
+        ({"learner": {"step_size": 0}}, "step_size"),
+        ({"learner": {"step_size": -0.5}}, "step_size"),
+        ({"nuisance": {"folds": 0}}, "folds"),
+        ({"nuisance": {"outcome_ridge": -1e-4}}, "outcome_ridge"),
+        ({"nuisance": {"logistic_ridge": -1}}, "logistic_ridge"),
+        ({"nuisance": {"clip": 0.7}}, "clip"),
+        ({"nuisance": {"clip": 0.5}}, "clip"),
+        ({"nuisance": {"clip": 0}}, "clip"),
     ],
 )
 def test_misconfigured_values_exit_2_and_name_the_key(tmp_path, capsys, payload, named):

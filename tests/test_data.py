@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from policyshift import CombinedDataset, CsvSchema, generate, ingest_csv, validate, write_csv
 from policyshift.simulate import SimConfig
@@ -117,3 +119,31 @@ def test_csv_round_trip_is_bit_identical(tmp_path):
     assert np.array_equal(back.group, sim.dataset.group)
     assert np.array_equal(back.treatment, sim.dataset.treatment, equal_nan=True)
     assert np.array_equal(back.outcome, sim.dataset.outcome, equal_nan=True)
+
+
+@st.composite
+def datasets(draw):
+    """A valid dataset with up to 3 covariates of any finite magnitude, subnormals and -0.0 included."""
+    n = draw(st.integers(2, 15))
+    p = draw(st.integers(1, 3))
+    real = st.floats(allow_nan=False, allow_infinity=False)
+    group = np.array(draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2)) + [1, 0])
+    x = np.array(draw(st.lists(real, min_size=n * p, max_size=n * p))).reshape(n, p)
+    arm = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(real, min_size=n, max_size=n)))
+    return make_dataset(group, np.where(group == 1, arm, np.nan), np.where(group == 1, y, np.nan), x=x)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dataset=datasets())
+def test_any_dataset_survives_the_csv_round_trip_bit_for_bit(tmp_path, dataset):
+    path = tmp_path / "rt.csv"
+    write_csv(dataset, path)
+    back = ingest_csv(path)
+    assert back.covariate_names == dataset.covariate_names
+    for name in ("covariates", "group", "treatment", "outcome"):
+        before, after = getattr(dataset, name), getattr(back, name)
+        assert after.shape == before.shape
+        # bit patterns, so -0.0 and every NaN position must survive too
+        bits = [np.asarray(values, dtype=float).view(np.uint64) for values in (before, after)]
+        assert np.array_equal(*bits)

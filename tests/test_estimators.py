@@ -322,3 +322,75 @@ def test_bound_validates_inputs():
         generalization_bound(ds, ns, eta=1.5, policy_class_size=10)
     with pytest.raises(ValueError, match="policy_class_size"):
         generalization_bound(ds, ns, eta=0.05, policy_class_size=0)
+
+
+@st.composite
+def small_problems(draw, max_n=12):
+    """A tiny two-domain dataset, interior nuisance values and policy values, drawn value by value."""
+    n = draw(st.integers(2, max_n))
+
+    def column(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
+
+    group = np.array(draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2)) + [0, 1])
+    real = st.floats(-1e3, 1e3, allow_nan=False)
+    arm, y = column(st.sampled_from([0.0, 1.0])), column(real)
+    ds = CombinedDataset(
+        covariates=column(real).reshape(n, 1),
+        group=group,
+        treatment=np.where(group == 1, arm, np.nan),
+        outcome=np.where(group == 1, y, np.nan),
+    )
+    interior = st.floats(0.02, 0.98)
+    vals = {"mu0": column(real), "mu1": column(real), "e1": column(interior), "s": column(interior)}
+    return ds, vals, column(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_problems())
+def test_se_is_direct_whenever_residuals_vanish(problem):
+    ds, vals, pi = problem
+    mu0, mu1 = exact_fit_surfaces(ds, vals)
+    ns = fixed_value_nuisances(mu0, mu1, vals["e1"], vals["s"])
+    se = reward_coefficients(ds, ns, "se", "r")
+    direct = reward_coefficients(ds, ns, "direct", "r")
+    src, tgt = ds.source_mask, ds.target_mask
+    assert np.array_equal(se.a[tgt], direct.a[tgt]) and np.array_equal(se.b[tgt], direct.b[tgt])
+    assert np.all(se.a[src] == 0) and np.all(se.b[src] == 0)
+    assert estimate(se, pi).value == estimate(direct, pi).value
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_problems())
+def test_se_is_ipw_whenever_the_surfaces_are_zero(problem):
+    ds, vals, _ = problem
+    ns = fixed_value_nuisances(np.zeros(ds.n), np.zeros(ds.n), vals["e1"], vals["s"])
+    se = reward_coefficients(ds, ns, "se", "r")
+    ipw = reward_coefficients(ds, ns, "ipw", "r")
+    assert np.array_equal(se.a, ipw.a) and np.array_equal(se.b, ipw.b)
+
+
+# extreme weights: scores far outside (clip, 1 - clip) on many rows are served at the clip
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=small_problems(max_n=40),
+    clip=st.floats(1e-9, 0.49),
+    pinned=st.lists(st.sampled_from(["e1 low", "e1 high", "s low", "s high", None]), min_size=40, max_size=40),
+)
+def test_scores_pinned_at_the_clip_give_finite_coefficients_estimates_and_bound(problem, clip, pinned):
+    ds, vals, pi = problem
+    e1, s = vals["e1"].copy(), vals["s"].copy()
+    for i, how in enumerate(pinned[: ds.n]):
+        if how is not None:
+            name, side = how.split()
+            (e1 if name == "e1" else s)[i] = 0.0 if side == "low" else 1.0
+    ns = fixed_value_nuisances(vals["mu0"], vals["mu1"], e1, s, clip=clip)
+    served = ns.values(ds.covariates)
+    assert served.e1.min() >= clip and served.e1.max() <= 1 - clip
+    assert served.s.min() >= clip and served.s.max() <= 1 - clip
+    for kind, estimand in (("direct", "r"), ("ipw", "r"), ("se", "r"), ("se", "v")):
+        coeffs = reward_coefficients(ds, ns, kind, estimand)
+        assert np.all(np.isfinite(coeffs.a)) and np.all(np.isfinite(coeffs.b))
+        est = estimate(coeffs, pi)
+        assert np.isfinite(est.value) and np.isfinite(est.std_error)
+    assert np.isfinite(generalization_bound(ds, ns, eta=0.05, policy_class_size=10**4).bound_term)

@@ -45,7 +45,8 @@ def test_sigmoid_is_stable_and_symmetric():
 
 def test_sigmoid_is_bitwise_the_masked_two_branch_form():
     special = [0.0, -0.0, np.inf, -np.inf, np.nan, 709.0, -709.0, 745.0, -745.0, 36.0, -36.0, 1e-300, -1e-300]
-    z = np.concatenate([special, 50.0 * np.random.default_rng(12).normal(size=10_000)])
+    rng = np.random.default_rng(12)
+    z = np.concatenate([special, 50.0 * rng.normal(size=10_000), 5.0 * rng.normal(size=10_000)])
     assert np.array_equal(sigmoid(z), masked_sigmoid(z), equal_nan=True)
     grid = z[5:].reshape(-1, 4)  # shape is kept for 2-D input
     assert np.array_equal(sigmoid(grid), masked_sigmoid(grid))

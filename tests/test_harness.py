@@ -22,6 +22,7 @@ from policyshift import (
 from policyshift import harness
 from policyshift.features import FeatureMap
 from policyshift.harness import METRIC_NAMES
+from policyshift.nuisance import FitError
 from policyshift.policy import LinearPolicy
 
 
@@ -213,3 +214,67 @@ def test_config_round_trips_through_dict():
     learner = ExperimentConfig.from_dict({"learner": {"max_epochs": 7.0, "step_size": 1}}).learner
     assert learner == LearnerConfig(max_epochs=7, step_size=1.0)
     assert type(learner.max_epochs) is int and type(learner.step_size) is float
+
+
+def test_run_table_records_are_the_run_replication_records_for_any_worker_count():
+    config = small_config(seed=31)
+    report = run_table(config, replications=5)
+    alone = [run_replication(config, r) for r in range(5)]
+    assert json.dumps(report.replications, sort_keys=True) == json.dumps(alone, sort_keys=True)
+    for workers in (2, 3):
+        assert run_table(config, replications=5, workers=workers).to_json() == report.to_json()
+
+
+def replication_json(report):
+    return [json.dumps(rec, sort_keys=True) for rec in report.replications]
+
+
+def covariate_tag(config, replication):
+    """The first covariate of a replication's dataset, which tells the datasets of a table apart."""
+    return generate(replace(config.sim, seed=config.sim.seed + replication)).dataset.covariates[0, 0]
+
+
+def test_a_failed_replication_leaves_the_batch_and_moves_no_other(monkeypatch):
+    config = small_config(seed=41)
+    clean = replication_json(run_table(config, replications=4))
+    fit, tag = harness.fit_nuisances, covariate_tag(config, 2)
+
+    def fail_on_replication_2(dataset, nuisance_config):
+        if dataset.covariates[0, 0] == tag:
+            raise FitError("injected failure")
+        return fit(dataset, nuisance_config)
+
+    monkeypatch.setattr(harness, "fit_nuisances", fail_on_replication_2)
+    records = replication_json(run_table(config, replications=4))
+    assert json.loads(records[2]) == {"replication": 2, "seed": 43, "error": "FitError: injected failure"}
+    assert records[:2] + records[3:] == clean[:2] + clean[3:]
+
+
+@pytest.mark.parametrize("failure", ["coefficients", "non-finite"])
+def test_a_method_failing_in_one_replication_moves_nothing_else(monkeypatch, failure):
+    config = small_config(seed=51)
+    clean = run_table(config, replications=4).replications
+    build, tag = harness.reward_coefficients, covariate_tag(config, 1)
+
+    def break_ipw_of_replication_1(dataset, nuisances, method, estimand):
+        coeffs = build(dataset, nuisances, method, estimand)
+        if method != "ipw" or dataset.covariates[0, 0] != tag:
+            return coeffs
+        if failure == "coefficients":
+            raise FitError("injected failure")
+        return replace(coeffs, a=np.full(coeffs.n, np.nan))
+
+    monkeypatch.setattr(harness, "reward_coefficients", break_ipw_of_replication_1)
+    records = run_table(config, replications=4).replications
+    expected = "FitError: injected failure" if failure == "coefficients" else (
+        "FloatingPointError: non-finite policy gradient; check reward coefficients")
+    assert records[1]["methods"]["ipw"] == {"error": expected}
+    records[1]["methods"]["ipw"] = clean[1]["methods"]["ipw"]
+    assert json.dumps(records, sort_keys=True) == json.dumps(clean, sort_keys=True)
+
+
+def test_a_batch_size_beyond_the_rows_fails_every_method_of_every_replication():
+    config = replace(small_config(seed=5), learner=LearnerConfig(max_epochs=2, batch_size=10_000))
+    report = run_table(config, replications=3)
+    error = {"error": "ValueError: batch_size must lie in [1, n]"}
+    assert [rec["methods"] for rec in report.replications] == [dict.fromkeys(("direct", "ipw", "se"), error)] * 3

@@ -355,3 +355,22 @@ def test_crossfit_folds_balance_every_stratum(treated, control, target, folds, s
 def test_clip_must_be_in_range():
     with pytest.raises(ValueError, match="clip"):
         NuisanceSet(mu0=lambda x: x, mu1=lambda x: x, e1=lambda x: x, s=lambda x: x, clip=0.7)
+
+
+@pytest.mark.parametrize(
+    "options, named",
+    [
+        ({"folds": 0}, "folds"),
+        ({"folds": -2}, "folds"),
+        ({"outcome_ridge": -1e-4}, "outcome_ridge"),
+        ({"logistic_ridge": float("nan")}, "logistic_ridge"),
+        ({"logistic_ridge": float("inf")}, "logistic_ridge"),
+        ({"clip": 0.0}, "clip"),
+        ({"clip": 0.5}, "clip"),
+        ({"clip": 0.7}, "clip"),
+    ],
+)
+def test_nuisance_config_refuses_out_of_range_values(options, named):
+    with pytest.raises(ValueError, match=named):
+        NuisanceConfig(**options)
+    NuisanceConfig(folds=1, outcome_ridge=0.0, logistic_ridge=0.0, clip=0.49)

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from policyshift import (
     reward_coefficients,
     true_nuisances,
 )
+from policyshift.policy import _ascend
 from policyshift.simulate import conditional_effect, feature_transform
 from reference import stepwise_learner
 
@@ -240,3 +242,97 @@ def test_every_trace_has_one_entry_per_epoch_and_never_ends_below_its_start(m, n
         assert len(trace.objectives) == max_epochs + 1
         assert trace.best_objective >= trace.initial_objective
         assert trace.best_objective == max(trace.objectives)
+
+
+ENGINE_SEEDS = (2_000_025, 2_000_000, 2_000_101, 2_000_024, 2_000_050)
+
+
+@functools.lru_cache(maxsize=None)
+def default_replication_run(seed, max_epochs):
+    """A default replication's inputs and its own learn_policies result."""
+    x, coeffs = default_replication_inputs(seed)
+    return x, coeffs, learn_policies(coeffs, x, LearnerConfig(seed=seed, max_epochs=max_epochs))
+
+
+# each replication keeps its covariates, standardization and permutation stream inside the stack
+@pytest.mark.parametrize("seeds", [ENGINE_SEEDS[:1], ENGINE_SEEDS[1:3], ENGINE_SEEDS], ids=["R1", "R2", "R5"])
+def test_the_engine_learns_each_replication_bit_for_bit_as_alone(seeds):
+    config = LearnerConfig(max_epochs=200, seed=123)
+    runs = [default_replication_run(seed, config.max_epochs) for seed in seeds]
+    stacked = _ascend([(coeffs, x, seed) for seed, (x, coeffs, _) in zip(seeds, runs)], config)
+    for (_, _, alone), results in zip(runs, stacked):
+        assert len(results) == len(alone) == 3
+        assert all(same_result(r, a) for r, a in zip(results, alone))
+
+
+def small_groups(rng, sizes, n=60):
+    return [(
+        [coeffs_from(rng.normal(scale=5.0, size=n), rng.normal(size=n)) for _ in range(m)],
+        rng.normal(size=(n, 2)) * rng.uniform(0.5, 2.0, size=2),
+        int(rng.integers(1 << 30)),
+    ) for m in sizes]
+
+
+def test_the_engine_pads_groups_with_fewer_sets_and_reports_only_real_sets():
+    groups = small_groups(np.random.default_rng(3), (3, 0, 1, 2))
+    config = LearnerConfig(max_epochs=15, batch_size=16)
+    stacked = _ascend(groups, config)
+    assert [len(results) for results in stacked] == [3, 0, 1, 2]
+    for (coeffs, x, seed), results in zip(groups, stacked):
+        alone = learn_policies(coeffs, x, replace(config, seed=seed))
+        assert all(same_result(r, a) for r, a in zip(results, alone))
+
+
+def test_a_non_finite_set_fails_alone_across_groups():
+    groups = small_groups(np.random.default_rng(4), (3, 2, 3))
+    config = LearnerConfig(max_epochs=10, batch_size=20)
+    expected = [learn_policies(coeffs, x, replace(config, seed=seed)) for coeffs, x, seed in groups]
+    bad = groups[1][0][1]
+    groups[1][0][1] = coeffs_from(np.where(np.arange(bad.n) == 7, np.inf, bad.a), bad.b)
+    with np.errstate(invalid="ignore"):  # inf - inf in the broken set's products
+        stacked = _ascend(groups, config)
+    assert isinstance(stacked[1][1], FloatingPointError)
+    assert str(stacked[1][1]) == "non-finite policy gradient; check reward coefficients"
+    for g, (results, alone) in enumerate(zip(stacked, expected)):
+        for j, (result, result_alone) in enumerate(zip(results, alone)):
+            if (g, j) != (1, 1):
+                assert same_result(result, result_alone)
+
+
+def test_a_failing_group_leaves_the_others_unchanged():
+    groups = small_groups(np.random.default_rng(5), (2, 2, 2))
+    config = LearnerConfig(max_epochs=8, batch_size=30)
+    coeffs, x, seed = groups[1]
+    groups[1] = ([coeffs[0], coeffs_from(coeffs[1].a[1:])], x, seed)
+    stacked = _ascend(groups, config)
+    assert isinstance(stacked[1], ValueError) and "aligned" in str(stacked[1])
+    for g in (0, 2):
+        coeffs, x, seed = groups[g]
+        alone = learn_policies(coeffs, x, replace(config, seed=seed))
+        assert all(same_result(r, a) for r, a in zip(stacked[g], alone))
+    too_big = _ascend(groups[::2], replace(config, batch_size=61))
+    assert [str(e) for e in too_big] == ["batch_size must lie in [1, n]"] * 2
+    with pytest.raises(ValueError, match="covariate shape"):
+        _ascend([groups[0], (groups[2][0][:1], groups[2][1][:, :1], 0)], config)
+
+
+@pytest.mark.parametrize(
+    "options, named",
+    [
+        ({"max_epochs": -1}, "max_epochs"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"step_size": 0.0}, "step_size"),
+        ({"step_size": -0.05}, "step_size"),
+        ({"step_size": float("inf")}, "step_size"),
+        ({"step_size": float("nan")}, "step_size"),
+    ],
+)
+def test_learner_config_refuses_out_of_range_values(options, named):
+    with pytest.raises(ValueError, match=named):
+        LearnerConfig(**options)
+
+
+def test_zero_epochs_return_the_indifferent_policy():
+    x = np.random.default_rng(6).normal(size=(20, 2))
+    policy, trace = learn_policy(coeffs_from(np.ones(20)), x, LearnerConfig(max_epochs=0, batch_size=5))
+    assert np.array_equal(policy.theta, np.zeros(3)) and len(trace.objectives) == 1 and trace.best_epoch == 0

@@ -126,6 +126,15 @@ def test_invalid_configs_rejected():
         SimConfig(cov_source=((1.0, 2.0, 0.0), (2.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
     with pytest.raises(ValueError, match="at least one row"):
         SimConfig(n_source=0)
+    # the outcome surfaces read exactly three covariates
+    with pytest.raises(ValueError, match=r"mu_source must have shape \(3,\)"):
+        SimConfig(mu_source=(1.0, 2.0))
+    with pytest.raises(ValueError, match=r"mu_target must have shape \(3,\)"):
+        SimConfig(mu_target=((9.0, 4.0, 6.0),))
+    with pytest.raises(ValueError, match=r"cov_source must have shape \(3, 3\)"):
+        SimConfig(cov_source=((1.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(ValueError, match=r"cov_target must have shape \(3, 3\)"):
+        SimConfig(cov_target=((2.0, 0.0, 0.0), (0.0, 2.0)))
 
 
 def test_from_dict_takes_json_types_and_refuses_to_coerce():
