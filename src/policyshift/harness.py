@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -26,13 +26,37 @@ from .features import FeatureMap
 from .nuisance import FitError, NuisanceConfig, fit_nuisances
 from .policy import LearnerConfig, LinearPolicy, OraclePolicy, _ascend
 from .policy import learn_policy  # noqa: F401 -- perfbench/tracer.py wraps harness.learn_policy by name
-from .simulate import SimConfig, SimulatedData, generate, json_option, shift_sweep_config
+from .simulate import SimConfig, SimulatedData, generate, shift_sweep_config
 from .stats import paired_t_test
 
 DEFAULT_METHODS = ("direct", "ipw", "se")
 METRIC_NAMES = ("true_reward", "regret", "policy_error", "welfare_change")
 WELFARE_SCOPES = ("all", "target")
 BOUND_ETA = 0.05
+_KIND_NAMES = {
+    bool: "true or false", int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"
+}
+
+
+def json_option(section: str, key: str, value, default):
+    """A JSON config value of the type of ``default``, refusing to coerce any other type.
+
+    An integral float counts as an integer (``2048.0``); a bool is never a
+    number, and the NaN and Infinity that Python's JSON reader accepts are not
+    numbers either. A tuple default takes a list of its first entry's type.
+    """
+    kind = type(default)
+    if kind is tuple:
+        return tuple(json_option(section, key, v, default[0]) for v in json_option(section, key, value, []))
+    if kind is int:
+        ok = type(value) is int or (type(value) is float and value.is_integer())
+    elif kind is float:
+        ok = type(value) is int or (type(value) is float and np.isfinite(value))
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise ValueError(f"{section} option {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -85,8 +109,9 @@ def evaluate_policy(policy: LinearPolicy | OraclePolicy, sim: SimulatedData, wel
 class ExperimentConfig:
     """Everything a replication needs: generator, nuisances and learner.
 
-    ``from_dict`` takes each option only as the JSON type of its default and
-    raises ``ValueError`` on an unknown key or a wrong-typed value.
+    ``to_dict`` is the JSON form (tuples as lists). ``from_dict`` takes each
+    option only as the JSON type of its default and raises ``ValueError`` on
+    an unknown key or a wrong-typed value.
     """
 
     sim: SimConfig = field(default_factory=SimConfig)
@@ -99,30 +124,23 @@ class ExperimentConfig:
             raise ValueError(f"welfare_scope must be one of {WELFARE_SCOPES}, got {self.welfare_scope!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "sim": self.sim.to_dict(),
-            "nuisance": asdict(self.nuisance),
-            "learner": asdict(self.learner),
-            "welfare_scope": self.welfare_scope,
-        }
+        return json.loads(json.dumps(asdict(self)))
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         if type(payload) is not dict:
             raise ValueError(f"a config must be a JSON object, got {payload!r}")
-        unknown = set(payload) - {"sim", "nuisance", "learner", "welfare_scope"}
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config sections: {sorted(unknown)}")
-        sections = {name: json_option("config", name, payload.get(name, {}), dict) for name in ("sim", "nuisance", "learner")}
-        for name, section in (("nuisance", NuisanceConfig), ("learner", LearnerConfig)):
-            options, defaults = sections[name], asdict(section())
-            unknown = set(options) - set(defaults)
+        defaults, sections = cls(), {}
+        for name in ("sim", "nuisance", "learner"):
+            options, default = json_option("config", name, payload.get(name, {}), {}), getattr(defaults, name)
+            unknown = set(options) - {f.name for f in fields(default)}
             if unknown:
                 raise ValueError(f"unknown {name} options: {sorted(unknown)}")
-            # every default is a plain int, float or str, so its type says what JSON value to take
-            sections[name] = section(**{k: json_option(name, k, v, type(defaults[k])) for k, v in options.items()})
-        sections["sim"] = SimConfig.from_dict(sections["sim"])
-        return cls(welfare_scope=payload.get("welfare_scope", "all"), **sections)
+            sections[name] = type(default)(**{k: json_option(name, k, v, getattr(default, k)) for k, v in options.items()})
+        return cls(welfare_scope=payload.get("welfare_scope", defaults.welfare_scope), **sections)
 
 
 def _estimate_to_dict(est: RewardEstimate) -> dict:
@@ -134,12 +152,18 @@ def _estimate_to_dict(est: RewardEstimate) -> dict:
     }
 
 
+def _failure(exc: Exception) -> dict:
+    """The record entry of a failed replication or method."""
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def _stage(config: ExperimentConfig, replication: int, methods: tuple[str, ...]) -> tuple[dict, tuple | None]:
     """Generate, fit, bound and build every method's coefficients for one replication.
 
     Returns the record so far and what learning and evaluation need, or no
     stage when a shared step (generation or nuisance fitting) failed, which
-    fails the whole replication.
+    fails the whole replication. A method whose coefficients fail keeps the
+    error in their place.
     """
     seed = config.sim.seed + replication
     record: dict = {"replication": replication, "seed": seed}
@@ -147,7 +171,7 @@ def _stage(config: ExperimentConfig, replication: int, methods: tuple[str, ...])
         sim = generate(replace(config.sim, seed=seed))
         nuisances = fit_nuisances(sim.dataset, config.nuisance)
     except (FitError, ValueError, np.linalg.LinAlgError) as exc:
-        record["error"] = f"{type(exc).__name__}: {exc}"
+        record.update(_failure(exc))
         return record, None
 
     record["nuisance_coefficients"] = nuisances.coefficients()
@@ -156,13 +180,13 @@ def _stage(config: ExperimentConfig, replication: int, methods: tuple[str, ...])
     policy_class_size = 10 ** FeatureMap(config.learner.feature_map, sim.dataset.p).p_out
     # the bound depends on the nuisances only, not on the method or its policy
     bound = generalization_bound(sim.dataset, nuisances, BOUND_ETA, policy_class_size)
-    coeffs, failed = {}, {}
+    coeffs = {}
     for method in methods:
         try:
             coeffs[method] = reward_coefficients(sim.dataset, nuisances, method, "r")
         except (FitError, ValueError, FloatingPointError) as exc:
-            failed[method] = exc
-    return record, (sim, nuisances, bound, coeffs, failed)
+            coeffs[method] = exc
+    return record, (sim, nuisances, bound, coeffs)
 
 
 def _run_replications(config: ExperimentConfig, replications: range, methods: tuple[str, ...]) -> list[dict]:
@@ -170,7 +194,9 @@ def _run_replications(config: ExperimentConfig, replications: range, methods: tu
 
     The ascent treats each replication as its own group (its covariates, and
     its simulation seed as the learner seed), so its record is that of a run
-    alone. A replication's staged data is released once its record is written.
+    alone. A learner error raised before the ascent (batch size or row
+    alignment) fails every method that has coefficients. A replication's
+    staged data is released once its record is written.
     """
     records, staged = [], []
     for replication in replications:
@@ -179,42 +205,46 @@ def _run_replications(config: ExperimentConfig, replications: range, methods: tu
         if stage is not None:
             staged.append((record, stage))
     groups = [
-        (list(coeffs.values()), sim.dataset.covariates, record["seed"]) for record, (sim, _, _, coeffs, _) in staged
+        ([c for c in coeffs.values() if not isinstance(c, Exception)], sim.dataset.covariates, record["seed"])
+        for record, (sim, _, _, coeffs) in staged
     ]
-    group_results = _ascend(groups, config.learner)
+    try:
+        group_results = _ascend(groups, config.learner)
+    except ValueError as exc:
+        group_results = [[exc] * len(sets) for sets, _, _ in groups]
     del groups
     for i, results in enumerate(group_results):
-        _evaluate(*staged[i], results, config, methods)
+        record, stage = staged[i]
         staged[i] = None
+        learned = iter(results)
+        for method, coeffs in stage[3].items():
+            outcome = coeffs if isinstance(coeffs, Exception) else next(learned)
+            record["methods"][method] = _evaluate(stage, method, outcome, config.welfare_scope)
     return records
 
 
-def _evaluate(record: dict, stage: tuple, results, config: ExperimentConfig, methods: tuple[str, ...]) -> None:
-    """Score each method's learned policy into ``record``, or record why it failed."""
-    sim, nuisances, bound, coeffs, failed = stage
-    if isinstance(results, ValueError):  # shared by every method: batch size or row alignment
-        results = [results] * len(coeffs)
-    learned = {**failed, **dict(zip(coeffs, results))}
-    for method in methods:
-        try:
-            if isinstance(learned[method], Exception):
-                raise learned[method]
-            policy, trace = learned[method]
-            metrics = evaluate_policy(policy, sim, config.welfare_scope)
-            decisions = policy.decide(sim.dataset.covariates)
-            est = estimate(coeffs[method], decisions)
-            diag = bias_diagnostic(sim.dataset, sim.truth, nuisances, decisions)
-            record["methods"][method] = {
-                "metrics": metrics.to_dict(),
-                "estimate": _estimate_to_dict(est),
-                "theta": [float(t) for t in policy.theta],
-                "best_epoch": trace.best_epoch,
-                "objective_trace": [float(o) for o in trace.objectives],
-                "bias_diagnostic": float(diag),
-                "bound_term": float(bound.bound_term),
-            }
-        except (FitError, ValueError, FloatingPointError) as exc:
-            record["methods"][method] = {"error": f"{type(exc).__name__}: {exc}"}
+def _evaluate(stage: tuple, method: str, outcome, welfare_scope: str) -> dict:
+    """The record entry of one method: the scores of its learned policy, or why it failed."""
+    if isinstance(outcome, Exception):
+        return _failure(outcome)
+    sim, nuisances, bound, coeffs = stage
+    policy, trace = outcome
+    try:
+        metrics = evaluate_policy(policy, sim, welfare_scope)
+        decisions = policy.decide(sim.dataset.covariates)
+        est = estimate(coeffs[method], decisions)
+        diag = bias_diagnostic(sim.dataset, sim.truth, nuisances, decisions)
+    except (FitError, ValueError, FloatingPointError) as exc:
+        return _failure(exc)
+    return {
+        "metrics": metrics.to_dict(),
+        "estimate": _estimate_to_dict(est),
+        "theta": [float(t) for t in policy.theta],
+        "best_epoch": trace.best_epoch,
+        "objective_trace": [float(o) for o in trace.objectives],
+        "bias_diagnostic": float(diag),
+        "bound_term": float(bound.bound_term),
+    }
 
 
 def run_replication(config: ExperimentConfig, replication: int, methods: tuple[str, ...] = DEFAULT_METHODS) -> dict:
@@ -232,6 +262,38 @@ def _succeeded(record: dict, method: str) -> bool:
     """Whether ``method`` ran to completion in a replication record."""
     entry = record.get("methods", {}).get(method)
     return bool(entry) and "error" not in entry
+
+
+def _series(records: list[dict], method: str, path: tuple[str, str], paired: str | None = None) -> np.ndarray:
+    """The value at ``path`` in ``method``'s entry of each record where it succeeded.
+
+    One row; with ``paired``, a second row of that method's values, over the
+    records where both succeeded.
+    """
+    both = (method,) if paired is None else (method, paired)
+    kept = [rec for rec in records if all(_succeeded(rec, m) for m in both)]
+    return np.array([[rec["methods"][m][path[0]][path[1]] for rec in kept] for m in both], dtype=float)
+
+
+def _summary(values: np.ndarray) -> dict:
+    return {
+        "mean": float(values.mean()) if values.size else None,
+        "sd": float(values.std(ddof=1)) if values.size > 1 else None,
+    }
+
+
+def _t_test(a: np.ndarray, b: np.ndarray) -> dict | None:
+    """The paired t-test of ``a`` against ``b`` as a report entry; None below two pairs."""
+    if a.size < 2:
+        return None
+    result = paired_t_test(a, b)
+    return {
+        "t_stat": None if np.isnan(result.t_stat) else float(result.t_stat),
+        "p_value": float(result.p_value),
+        "df": result.df,
+        "mean_difference": float(result.mean_difference),
+        "degenerate": result.degenerate,
+    }
 
 
 @dataclass(frozen=True)
@@ -261,8 +323,8 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def metric_series(self, method: str, metric: str) -> np.ndarray:
-        values = [rec["methods"][method]["metrics"][metric] for rec in self.replications if _succeeded(rec, method)]
-        return np.asarray(values, dtype=float)
+        (values,) = _series(self.replications, method, ("metrics", metric))
+        return values
 
 
 def run_table(
@@ -279,9 +341,16 @@ def run_table(
     """
     if replications < 2:
         raise ValueError("need at least two replications")
+    if not methods:
+        raise ValueError("no methods given")
     unknown = [m for m in methods if m not in DEFAULT_METHODS]
     if unknown:
-        raise ValueError(f"unknown methods: {unknown}")
+        raise ValueError(f"unknown methods: {unknown}; choose from {','.join(DEFAULT_METHODS)}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"duplicate methods: {repeated}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
     if workers > 1:
         # each worker stages and learns a contiguous chunk of replications
         chunks = min(workers, replications)
@@ -293,69 +362,23 @@ def run_table(
     else:
         records = _run_replications(config, range(replications), tuple(methods))
 
-    aggregates: dict = {}
-    completed: dict = {}
-    for method in methods:
-        series = {metric: [] for metric in METRIC_NAMES}
-        estimates = []
-        for rec in records:
-            if not _succeeded(rec, method):
-                continue
-            entry = rec["methods"][method]
-            for metric in METRIC_NAMES:
-                series[metric].append(entry["metrics"][metric])
-            estimates.append(entry["estimate"]["value"])
-        completed[method] = len(estimates)
-        agg = {}
-        for metric in METRIC_NAMES:
-            vals = np.asarray(series[metric], dtype=float)
-            agg[metric] = {
-                "mean": float(vals.mean()) if vals.size else None,
-                "sd": float(vals.std(ddof=1)) if vals.size > 1 else None,
-            }
-        vals = np.asarray(estimates, dtype=float)
-        agg["estimated_reward"] = {
-            "mean": float(vals.mean()) if vals.size else None,
-            "sd": float(vals.std(ddof=1)) if vals.size > 1 else None,
-        }
-        aggregates[method] = agg
-
-    relative = {}
-    t_tests = {}
+    # the key path of each aggregate in a method's record entry
+    paths = {**{metric: ("metrics", metric) for metric in METRIC_NAMES}, "estimated_reward": ("estimate", "value")}
+    aggregates = {
+        method: {name: _summary(_series(records, method, path)[0]) for name, path in paths.items()} for method in methods
+    }
+    completed = {method: _series(records, method, paths["estimated_reward"]).shape[1] for method in methods}
+    relative, t_tests = {}, {}
     baseline = "direct"
     if baseline in methods:
         for method in methods:
             if method == baseline:
                 continue
-            rel = {}
+            relative[method], t_tests[method] = {}, {}
             for metric in METRIC_NAMES:
-                base = aggregates[baseline][metric]["mean"]
-                this = aggregates[method][metric]["mean"]
-                rel[metric] = None if not base or this is None else float((this - base) / base)
-            relative[method] = rel
-            tests = {}
-            for metric in METRIC_NAMES:
-                pairs = [
-                    (
-                        rec["methods"][method]["metrics"][metric],
-                        rec["methods"][baseline]["metrics"][metric],
-                    )
-                    for rec in records
-                    if _succeeded(rec, method) and _succeeded(rec, baseline)
-                ]
-                if len(pairs) < 2:
-                    tests[metric] = None
-                    continue
-                a, b = np.asarray(pairs, dtype=float).T
-                result = paired_t_test(a, b)
-                tests[metric] = {
-                    "t_stat": None if np.isnan(result.t_stat) else float(result.t_stat),
-                    "p_value": float(result.p_value),
-                    "df": result.df,
-                    "mean_difference": float(result.mean_difference),
-                    "degenerate": result.degenerate,
-                }
-            t_tests[method] = tests
+                base, this = aggregates[baseline][metric]["mean"], aggregates[method][metric]["mean"]
+                relative[method][metric] = None if not base or this is None else float((this - base) / base)
+                t_tests[method][metric] = _t_test(*_series(records, method, paths[metric], baseline))
 
     return ExperimentReport(
         config={**config.to_dict(), "replications": replications},
@@ -403,15 +426,12 @@ def run_sweep(
         raise ValueError(f"kind must be one of {SWEEP_KINDS}")
     if not grid:
         raise ValueError("grid must be nonempty")
-    results = []
-    for value in grid:
-        if kind == "shift":
-            sim = shift_sweep_config(config.sim, value)
-        else:
-            sim = replace(config.sim, beta_treatment=float(value))
-        point_config = replace(config, sim=sim)
-        results.append((float(value), run_table(point_config, replications, methods, workers)))
-    return results
+    # every point's config is built, and so checked, before any table runs
+    points = [
+        (float(v), shift_sweep_config(config.sim, v) if kind == "shift" else replace(config.sim, beta_treatment=float(v)))
+        for v in grid
+    ]
+    return [(value, run_table(replace(config, sim=sim), replications, methods, workers)) for value, sim in points]
 
 
 def write_sweep_csv(results: list[tuple[float, ExperimentReport]], path: str | Path) -> None:

@@ -129,22 +129,21 @@ def learn_policies(
     """
     config = config or LearnerConfig()
     (results,) = _ascend([(coeffs_seq, covariates, config.seed)], config)
-    if isinstance(results, ValueError):
-        raise results
     return results
 
 
 def _ascend(
     groups: Sequence[tuple[Sequence[RewardCoefficients], np.ndarray, int]],
     config: LearnerConfig,
-) -> list[list[tuple[LinearPolicy, TrainingTrace] | FloatingPointError] | ValueError]:
+) -> list[list[tuple[LinearPolicy, TrainingTrace] | FloatingPointError]]:
     """``learn_policies`` for several groups in one loop, bit for bit.
 
     A group is ``(coeffs_seq, covariates, seed)``: one replication's sets with
     their own covariates, standardization and permutation stream (``seed``
-    replaces ``config.seed``). Groups must share the covariate shape. Each group's
-    entry is its ``learn_policies`` result, or the ``ValueError`` that call
-    would raise; a failed group leaves the others unchanged.
+    replaces ``config.seed``). Each group's entry is its ``learn_policies``
+    result. Every group is checked before any work: groups that do not share
+    the covariate shape, misaligned rows, a batch size beyond the rows or an
+    unknown feature map raise ``ValueError``.
 
     Every product is a stack of the (rows, k) @ (k, 1) and (1, rows) @
     (rows, k) matrix-vector products that one set on its own computes, so each
@@ -154,50 +153,39 @@ def _ascend(
     a set whose theta goes non-finite is frozen the same way; neither is
     reported.
     """
-    entries: list = []
-    members, standardized, sets, rngs, shapes = [], [], [], [], set()  # of the groups that pass the checks
-    for g, (coeffs_seq, covariates, seed) in enumerate(groups):
-        X = np.atleast_2d(np.asarray(covariates, dtype=float))
-        n = X.shape[0]
-        try:
-            if any(coeffs.n != n for coeffs in coeffs_seq):
-                raise ValueError("coefficients and covariates are not aligned")
-            if config.batch_size > n:  # LearnerConfig refuses a batch size below 1
-                raise ValueError("batch_size must lie in [1, n]")
-            fmap = FeatureMap(config.feature_map, X.shape[1])
-        except ValueError as exc:
-            entries.append(exc)
-            continue
-        entries.append([None] * len(coeffs_seq))
+    if not groups:
+        return []
+    covariates = [np.atleast_2d(np.asarray(X, dtype=float)) for _, X, _ in groups]
+    if len({X.shape for X in covariates}) > 1:
+        raise ValueError("groups must share the covariate shape")
+    n, p = covariates[0].shape
+    if any(coeffs.n != n for coeffs_seq, _, _ in groups for coeffs in coeffs_seq):
+        raise ValueError("coefficients and covariates are not aligned")
+    if config.batch_size > n:  # LearnerConfig refuses a batch size below 1
+        raise ValueError("batch_size must lie in [1, n]")
+    fmap = FeatureMap(config.feature_map, p)
+
+    R, k, m = len(groups), fmap.p_out, max(len(coeffs_seq) for coeffs_seq, _, _ in groups)
+    standardized = []
+    for X in covariates:
         F = fmap.expand(X)
-        k = F.shape[1]
         shift, scale = np.zeros(k), np.ones(k)
         if k > 1:
             shift[1:] = F[:, 1:].mean(axis=0)
             sd = F[:, 1:].std(axis=0)
             scale[1:] = np.where(sd > 0, sd, 1.0)
-        members.append(g)
-        shapes.add(X.shape)
         standardized.append(((F - shift) / scale, shift, scale))
-        sets.append(coeffs_seq)
-        rngs.append(np.random.default_rng(seed))
-    if not members:
-        return entries
-    if len(shapes) > 1:
-        raise ValueError("groups must share the covariate shape")
-
-    ((n, p),) = shapes
-    fmap = FeatureMap(config.feature_map, p)
-    R, k, m = len(members), fmap.p_out, max(map(len, sets))
     Fs, shift, scale = (np.stack(parts) for parts in zip(*standardized))
     del standardized
     # A is stored as (R, n, m), data rows first, so the row gather of Fs serves A too
     At, B = np.zeros((R, n, m)), np.zeros((R, m, n))
     A = At.transpose(0, 2, 1)
     live = np.zeros((R, m), dtype=bool)
-    for r, coeffs_seq in enumerate(sets):
+    for r, (coeffs_seq, _, _) in enumerate(groups):
         for j, coeffs in enumerate(coeffs_seq):
             A[r, j], B[r, j], live[r, j] = coeffs.a, coeffs.b, True
+    entries: list[list] = [[None] * len(coeffs_seq) for coeffs_seq, _, _ in groups]
+    rngs = [np.random.default_rng(seed) for _, _, seed in groups]
     theta = np.zeros((R, m, k))
     row0 = (np.arange(R) * n)[:, None]  # flat offset of each group's first row
     # every array the loop writes is allocated once: fresh temporaries of this
@@ -241,7 +229,7 @@ def _ascend(
         dead = ~np.isfinite(theta).all(axis=-1)
         if dead.any():
             for r, j in zip(*np.nonzero(dead & live)):
-                entries[members[r]][j] = FloatingPointError("non-finite policy gradient; check reward coefficients")
+                entries[r][j] = FloatingPointError("non-finite policy gradient; check reward coefficients")
             live &= ~dead
             theta[dead], A[dead], B[dead] = 0.0, 0.0, 0.0
         obj = objectives()
@@ -250,14 +238,14 @@ def _ascend(
         best_theta[better], best_obj[better], best_epoch[better] = theta[better], obj[better], epoch + 1
 
     history = np.stack(history, axis=-1)
-    for r, group in enumerate(members):
+    for r in range(R):
         for j in np.flatnonzero(live[r]):
             # report theta in original feature coordinates
             theta_raw = best_theta[r, j] / scale[r]
             if k > 1:
                 theta_raw[0] = best_theta[r, j, 0] - float(np.sum(best_theta[r, j, 1:] * shift[r, 1:] / scale[r, 1:]))
             trace = TrainingTrace(objectives=history[r, j].tolist(), best_epoch=int(best_epoch[r, j]))
-            entries[group][j] = (LinearPolicy(theta=theta_raw, fmap=fmap), trace)
+            entries[r][j] = (LinearPolicy(theta=theta_raw, fmap=fmap), trace)
     return entries
 
 

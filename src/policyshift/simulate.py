@@ -11,7 +11,6 @@ supports bias, coverage and robustness studies against known truth.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,31 +23,6 @@ from .policy import LinearPolicy, OraclePolicy
 
 TRUTH_CLIP = 1e-12  # known scores satisfy overlap; keep clipping inert
 SIDECAR_COLUMNS = ("y1", "y0", "mu0_true", "mu1_true", "e1_true", "s_true")
-_KIND_NAMES = {
-    bool: "true or false", int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"
-}
-
-
-def json_option(section: str, key: str, value, kind: type):
-    """A JSON config value as ``kind``, refusing to coerce any other type.
-
-    An integral float counts as an integer (``2048.0``); a bool is never a
-    number, and the NaN and Infinity that Python's JSON reader accepts are not
-    numbers either.
-    """
-    if kind is int:
-        ok = type(value) is int or (type(value) is float and value.is_integer())
-    elif kind is float:
-        ok = type(value) is int or (type(value) is float and math.isfinite(value))
-    else:
-        ok = type(value) is kind
-    if not ok:
-        raise ValueError(f"{section} option {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return kind(value)
-
-
-def _json_numbers(key: str, value) -> tuple[float, ...]:
-    return tuple(json_option("simulation", key, v, float) for v in json_option("simulation", key, value, list))
 
 
 def feature_transform(x: np.ndarray) -> np.ndarray:
@@ -106,6 +80,9 @@ class SimConfig:
                 ok = False
             if not ok:
                 raise ValueError(f"{name} must have shape {shape}, one entry per covariate")
+        for name in ("mu_source", "mu_target", "cov_source", "cov_target", "beta_treatment", "noise_sd"):
+            if not np.isfinite(np.asarray(getattr(self, name), dtype=float)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("cov_source", "cov_target"):
             cov = np.asarray(getattr(self, name), dtype=float)
             if not np.allclose(cov, cov.T):
@@ -116,35 +93,6 @@ class SimConfig:
     @property
     def source_fraction(self) -> float:
         return self.n_source / (self.n_source + self.n_target)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_source": self.n_source,
-            "n_target": self.n_target,
-            "mu_source": list(self.mu_source),
-            "mu_target": list(self.mu_target),
-            "cov_source": [list(r) for r in self.cov_source],
-            "cov_target": [list(r) for r in self.cov_target],
-            "beta_treatment": self.beta_treatment,
-            "noise_sd": self.noise_sd,
-            "shared_noise": self.shared_noise,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SimConfig":
-        defaults = cls().to_dict()
-        options = {}
-        for key, value in payload.items():
-            if key not in defaults:
-                raise ValueError(f"unknown simulation option {key!r}")
-            if key in ("mu_source", "mu_target"):
-                options[key] = _json_numbers(key, value)
-            elif key in ("cov_source", "cov_target"):
-                options[key] = tuple(_json_numbers(key, row) for row in json_option("simulation", key, value, list))
-            else:
-                options[key] = json_option("simulation", key, value, type(defaults[key]))
-        return cls(**options)
 
 
 @dataclass(frozen=True)
@@ -251,8 +199,8 @@ def shift_sweep_config(base: SimConfig, chebyshev_distance: float) -> SimConfig:
     distance 1 reproduces the default target mean and distance 0 removes the
     mean shift entirely (covariances are left untouched).
     """
-    if chebyshev_distance < 0:
-        raise ValueError("chebyshev distance must be nonnegative")
+    if not 0 <= chebyshev_distance < np.inf:
+        raise ValueError(f"chebyshev distance must be nonnegative and finite, got {chebyshev_distance!r}")
     mu = tuple(m + chebyshev_distance * u for m, u in zip(base.mu_source, SHIFT_DIRECTION))
     return replace(base, mu_target=mu)
 

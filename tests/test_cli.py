@@ -93,6 +93,26 @@ def test_errors_exit_nonzero(tmp_path, config_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["table", "--methods", "se,se"], "duplicate methods: ['se']"),
+        (["table", "--methods", ","], "no methods given"),
+        (["table", "--workers", "0"], "workers must be at least 1"),
+        (["table", "--workers", "-5"], "workers must be at least 1"),
+        (["sweep", "--kind", "shift", "--grid", "nan"], "grid values must be finite"),
+        (["sweep", "--kind", "treatment", "--grid", "0,inf"], "grid values must be finite"),
+        (["sweep", "--kind", "shift", "--grid", "0,1", "--methods", "ipw,se,ipw"], "duplicate methods: ['ipw']"),
+    ],
+)
+def test_misused_table_and_sweep_options_exit_2_and_write_nothing(tmp_path, config_path, capsys, argv, named):
+    out = ["--out", str(tmp_path / "r.json")] if argv[0] == "table" else ["--out-csv", str(tmp_path / "r.csv")]
+    assert main(argv + ["--config", config_path, "--reps", "2"] + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize(
     "section, key, value",
     [
         ("nuisance", "max_iter", 5),

@@ -147,6 +147,16 @@ def test_run_table_validates_inputs():
         run_table(small_config(), replications=2, methods=("direct", "magic"))
 
 
+def test_run_table_refuses_no_methods_repeated_methods_and_workers_below_1():
+    with pytest.raises(ValueError, match="no methods given"):
+        run_table(small_config(), replications=2, methods=())
+    with pytest.raises(ValueError, match=r"duplicate methods: \['se'\]"):
+        run_table(small_config(), replications=2, methods=("se", "direct", "se"))
+    for workers in (0, -5):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_table(small_config(), replications=2, workers=workers)
+
+
 def test_failed_replication_is_recorded_not_raised():
     # 3 source rows cannot support the default outcome maps
     config = ExperimentConfig(sim=SimConfig(n_source=3, n_target=16, seed=1), learner=LearnerConfig(max_epochs=2, batch_size=8))
@@ -189,6 +199,15 @@ def test_sweep_validates_inputs():
         run_sweep("shift", (), small_config(), replications=2)
 
 
+@pytest.mark.parametrize("kind, bad", [("shift", float("nan")), ("shift", float("inf")), ("treatment", float("inf"))])
+def test_a_non_finite_sweep_point_is_refused_before_any_table_runs(monkeypatch, kind, bad):
+    tables = []
+    monkeypatch.setattr(harness, "run_table", lambda *args, **kwargs: tables.append(args))
+    with pytest.raises(ValueError, match="finite"):
+        run_sweep(kind, (0.0, bad), small_config(), replications=2)
+    assert tables == []
+
+
 def test_table_csv_long_format(tmp_path):
     report = run_table(small_config(seed=16), replications=2)
     path = tmp_path / "table.csv"
@@ -200,12 +219,22 @@ def test_table_csv_long_format(tmp_path):
 
 def test_config_round_trips_through_dict():
     config = ExperimentConfig(
-        sim=SimConfig(n_source=10, n_target=20, seed=3, beta_treatment=0.2),
+        sim=SimConfig(
+            n_source=10,
+            n_target=20,
+            seed=3,
+            beta_treatment=0.2,
+            mu_source=(1.5, -2.0, 0.25),
+            mu_target=(3.0, 4.0, -6.5),
+            cov_source=((2.0, 0.5, 0.0), (0.5, 1.0, 0.1), (0.0, 0.1, 3.0)),
+            cov_target=((1.0, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.25)),
+        ),
         nuisance=NuisanceConfig(outcome_map="quadratic", clip=0.02),
         learner=LearnerConfig(max_epochs=7, step_size=0.1),
         welfare_scope="target",
     )
     assert ExperimentConfig.from_dict(config.to_dict()) == config
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
     with pytest.raises(ValueError, match="unknown config sections"):
         ExperimentConfig.from_dict({"simulation": {}})
     with pytest.raises(ValueError, match="welfare_scope must be one of"):

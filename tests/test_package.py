@@ -80,3 +80,21 @@ def test_every_name_a_demo_imports_from_the_package_resolves():
                 module = importlib.import_module(node.module)
                 missing = [alias.name for alias in node.names if not hasattr(module, alias.name)]
                 assert not missing, f"{demo.name} imports {missing} from {node.module}"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """A stdlib-only unused-import check; ``# noqa: F401`` keeps an import on purpose."""
+    for path in sorted(Path(policyshift.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # imports there are the exports
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines, tree = text.splitlines(), ast.parse(text)
+        imported = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - used, f"{path.name} imports {sorted(imported - used)} and never uses them"

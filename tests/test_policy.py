@@ -299,21 +299,20 @@ def test_a_non_finite_set_fails_alone_across_groups():
                 assert same_result(result, result_alone)
 
 
-def test_a_failing_group_leaves_the_others_unchanged():
+def test_a_misaligned_group_or_an_oversized_batch_fails_the_whole_ascent(monkeypatch):
     groups = small_groups(np.random.default_rng(5), (2, 2, 2))
     config = LearnerConfig(max_epochs=8, batch_size=30)
+    expanded = []
+    monkeypatch.setattr(FeatureMap, "expand", lambda self, x: expanded.append(x))
     coeffs, x, seed = groups[1]
-    groups[1] = ([coeffs[0], coeffs_from(coeffs[1].a[1:])], x, seed)
-    stacked = _ascend(groups, config)
-    assert isinstance(stacked[1], ValueError) and "aligned" in str(stacked[1])
-    for g in (0, 2):
-        coeffs, x, seed = groups[g]
-        alone = learn_policies(coeffs, x, replace(config, seed=seed))
-        assert all(same_result(r, a) for r, a in zip(stacked[g], alone))
-    too_big = _ascend(groups[::2], replace(config, batch_size=61))
-    assert [str(e) for e in too_big] == ["batch_size must lie in [1, n]"] * 2
+    misaligned = groups[:1] + [([coeffs[0], coeffs_from(coeffs[1].a[1:])], x, seed)] + groups[2:]
+    with pytest.raises(ValueError, match="coefficients and covariates are not aligned"):
+        _ascend(misaligned, config)
+    with pytest.raises(ValueError, match=r"batch_size must lie in \[1, n\]"):
+        _ascend(groups, replace(config, batch_size=61))
     with pytest.raises(ValueError, match="covariate shape"):
         _ascend([groups[0], (groups[2][0][:1], groups[2][1][:, :1], 0)], config)
+    assert expanded == []  # every check comes before any work
 
 
 @pytest.mark.parametrize(

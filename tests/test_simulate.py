@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from policyshift import (
+    ExperimentConfig,
     SimConfig,
     feature_transform,
     generate,
@@ -137,8 +138,26 @@ def test_invalid_configs_rejected():
         SimConfig(cov_target=((2.0, 0.0, 0.0), (0.0, 2.0)))
 
 
+def test_non_finite_simulation_values_are_refused():
+    nan, inf = float("nan"), float("inf")
+    for options in (
+        {"beta_treatment": nan},
+        {"noise_sd": inf},
+        {"noise_sd": nan},
+        {"mu_target": (nan, 4.0, 6.0)},
+        {"mu_source": (10.0, -inf, 7.0)},
+        {"cov_target": ((2.0, 1.0, 0.5), (1.0, inf, 1.0), (0.5, 1.0, 2.0))},
+    ):
+        (name,) = options
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SimConfig(**options)
+    for distance in (nan, inf, -1.0):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            shift_sweep_config(SimConfig(), distance)
+
+
 def test_from_dict_takes_json_types_and_refuses_to_coerce():
-    config = SimConfig.from_dict({"n_source": 64, "n_target": 128.0, "seed": 3, "shared_noise": False})
+    config = ExperimentConfig.from_dict({"sim": {"n_source": 64, "n_target": 128.0, "seed": 3, "shared_noise": False}}).sim
     assert (config.n_source, config.n_target, config.seed, config.shared_noise) == (64, 128, 3, False)
     assert isinstance(config.n_target, int)
     for key, value in (
@@ -150,7 +169,7 @@ def test_from_dict_takes_json_types_and_refuses_to_coerce():
         ("seed", None),
     ):
         with pytest.raises(ValueError, match=key):
-            SimConfig.from_dict({key: value})
+            ExperimentConfig.from_dict({"sim": {key: value}})
 
 
 def test_population_reward_scopes():
