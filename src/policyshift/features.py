@@ -38,18 +38,30 @@ class FeatureMap:
         return 1 + 2 * p + p * (p - 1) // 2
 
     def expand(self, x: np.ndarray) -> np.ndarray:
-        """Expand covariates (n, p_in) or (p_in,) into features (n, p_out)."""
+        """Expand covariates (n, p_in) or (p_in,) into features (n, p_out).
+
+        The columns are written into one C-ordered matrix: the intercept,
+        then (not for "intercept") the covariates, then (for "quadratic")
+        their squares and the products x_i * x_j for i < j.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         n, p = x.shape
         if p != self.p_in:
             raise ValueError(f"expected {self.p_in} covariates, got {p}")
+        out = np.empty((n, self.p_out))
+        out[:, 0] = 1.0
         if self.kind == "intercept":
-            return np.ones((n, 1))
+            return out
+        out[:, 1 : p + 1] = x
         if self.kind == "raw":
-            return np.hstack([np.ones((n, 1)), x])
-        cols = [np.ones((n, 1)), x, x**2]
-        cols += [(x[:, i] * x[:, j])[:, None] for i in range(p) for j in range(i + 1, p)]
-        return np.hstack(cols)
+            return out
+        np.square(x, out=out[:, p + 1 : 2 * p + 1])
+        col = 2 * p + 1
+        for i in range(p):
+            for j in range(i + 1, p):
+                np.multiply(x[:, i], x[:, j], out=out[:, col])
+                col += 1
+        return out
 
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:

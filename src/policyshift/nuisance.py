@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .data import CombinedDataset, _readonly
-from .features import FeatureMap, sigmoid
+from .features import FEATURE_KINDS, FeatureMap, sigmoid
 
 DEFAULT_CLIP = 0.01
 DEFAULT_OUTCOME_RIDGE = 1e-4
@@ -80,8 +80,8 @@ def fit_ridge(features: np.ndarray, y: np.ndarray, fmap: FeatureMap, ridge: floa
     return RidgeModel(beta=beta, fmap=fmap)
 
 
-def _penalized_loglik(Phi: np.ndarray, y: np.ndarray, beta: np.ndarray, ridge: float) -> float:
-    eta = Phi @ beta
+def _penalized_loglik(eta: np.ndarray, y: np.ndarray, beta: np.ndarray, ridge: float) -> float:
+    """Penalized log-likelihood of ``beta``, whose linear predictor is ``eta``."""
     # log-likelihood written to avoid overflow: y*eta - log(1+exp(eta))
     ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
     return ll - 0.5 * ridge * float(np.sum(beta[1:] ** 2))
@@ -104,7 +104,7 @@ def fit_logistic(
     ``trace`` is a list, the objective after every iteration is appended to it.
     """
     y = np.asarray(labels, dtype=float)
-    if set(np.unique(y)) - {0.0, 1.0}:
+    if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0/1")
     if y.min() == y.max():
         raise FitError("labels contain a single class; cannot fit a logistic model")
@@ -112,11 +112,12 @@ def fit_logistic(
     k = Phi.shape[1]
     D = _penalty_matrix(k, ridge)
     beta = np.zeros(k)
-    obj = _penalized_loglik(Phi, y, beta, ridge)
+    eta = Phi @ beta
+    obj = _penalized_loglik(eta, y, beta, ridge)
     if trace is not None:
         trace.append(obj)
     for _ in range(IRLS_MAX_ITER):
-        p = sigmoid(Phi @ beta)
+        p = sigmoid(eta)
         w = p * (1.0 - p)
         grad = Phi.T @ (y - p) - D @ beta
         H = (Phi * w[:, None]).T @ Phi + D
@@ -124,15 +125,16 @@ def fit_logistic(
         scale = 1.0
         while True:
             candidate = beta + scale * step
-            new_obj = _penalized_loglik(Phi, y, candidate, ridge)
+            candidate_eta = Phi @ candidate
+            new_obj = _penalized_loglik(candidate_eta, y, candidate, ridge)
             if new_obj >= obj - 1e-12:
                 break
             if scale < 1e-8:
                 return LogisticModel(beta=beta, fmap=fmap)  # every step goes downhill
             scale *= 0.5
         delta = float(np.max(np.abs(scale * step)))
-        beta = beta + scale * step
-        obj = new_obj
+        # the accepted candidate is the next beta, so its predictor serves the next iteration
+        beta, eta, obj = candidate, candidate_eta, new_obj
         if trace is not None:
             trace.append(obj)
         if ridge == 0 and float(np.max(np.abs(beta))) > _DIVERGED_COEF:
@@ -224,6 +226,10 @@ class NuisanceConfig:
     folds: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("outcome_map", "propensity_map", "sampling_map"):
+            kind = getattr(self, name)
+            if kind not in FEATURE_KINDS:
+                raise ValueError(f"nuisance {name} must be one of {FEATURE_KINDS}, got {kind!r}")
         if self.folds < 1:
             raise ValueError(f"nuisance folds must be at least 1, got {self.folds!r}")
         for name in ("outcome_ridge", "logistic_ridge"):

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .estimators import RewardCoefficients
-from .features import FeatureMap, sigmoid
+from .features import FEATURE_KINDS, FeatureMap, sigmoid
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,8 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.feature_map not in FEATURE_KINDS:
+            raise ValueError(f"learner feature_map must be one of {FEATURE_KINDS}, got {self.feature_map!r}")
         if self.batch_size < 1:
             raise ValueError(f"learner batch_size must be at least 1, got {self.batch_size!r}")
         if not (math.isfinite(self.step_size) and self.step_size > 0):
@@ -142,8 +144,8 @@ def _ascend(
     their own covariates, standardization and permutation stream (``seed``
     replaces ``config.seed``). Each group's entry is its ``learn_policies``
     result. Every group is checked before any work: groups that do not share
-    the covariate shape, misaligned rows, a batch size beyond the rows or an
-    unknown feature map raise ``ValueError``.
+    the covariate shape, misaligned rows or a batch size beyond the rows raise
+    ``ValueError``.
 
     Every product is a stack of the (rows, k) @ (k, 1) and (1, rows) @
     (rows, k) matrix-vector products that one set on its own computes, so each
@@ -214,10 +216,11 @@ def _ascend(
         if not live.any():
             break
         order = np.stack([rng.permutation(n) for rng in rngs])
-        # take on flat rows gathers the bytes of fancy indexing several times faster
+        # take on flat rows gathers the bytes of fancy indexing several times faster; the
+        # rows are in range, and mode "clip" writes into ``out`` without a buffer of its size
         rows = order + row0
-        Fs.reshape(R * n, k).take(rows, axis=0, out=F_epoch)
-        At.reshape(R * n, m).take(rows, axis=0, out=At_epoch)
+        Fs.reshape(R * n, k).take(rows, axis=0, out=F_epoch, mode="clip")
+        At.reshape(R * n, m).take(rows, axis=0, out=At_epoch, mode="clip")
         for start, end in batches:
             Fb = F_epoch[:, None, start:end]
             sz = smoothed(Fb)

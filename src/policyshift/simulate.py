@@ -32,16 +32,22 @@ def feature_transform(x: np.ndarray) -> np.ndarray:
     return x * ax**0.1 + x * ax**0.3 + x * ax**0.5
 
 
+def _treated_from_transform(t: np.ndarray) -> np.ndarray:
+    return 15.0 + 0.4 * t[:, 0] * t[:, 1] + 0.7 * t[:, 2]
+
+
+def _control_from_transform(t: np.ndarray) -> np.ndarray:
+    return 10.0 + 0.1 * t[:, 0] + 0.5 * t[:, 1] * t[:, 2]
+
+
 def outcome_surface_treated(X: np.ndarray) -> np.ndarray:
     """Noise-free mean of the treated potential outcome."""
-    t = feature_transform(np.atleast_2d(X))
-    return 15.0 + 0.4 * t[:, 0] * t[:, 1] + 0.7 * t[:, 2]
+    return _treated_from_transform(feature_transform(np.atleast_2d(X)))
 
 
 def outcome_surface_control(X: np.ndarray) -> np.ndarray:
     """Noise-free mean of the control potential outcome."""
-    t = feature_transform(np.atleast_2d(X))
-    return 10.0 + 0.1 * t[:, 0] + 0.5 * t[:, 1] * t[:, 2]
+    return _control_from_transform(feature_transform(np.atleast_2d(X)))
 
 
 def conditional_effect(X: np.ndarray) -> np.ndarray:
@@ -207,6 +213,8 @@ def shift_sweep_config(base: SimConfig, chebyshev_distance: float) -> SimConfig:
 
 # The last draws of population_reward with both surfaces there: (key, (X, mu1, mu0)) or None.
 _population_cache: tuple[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+# Rows per block when the surfaces are evaluated at the draws (0.4 MB of transformed covariates).
+SURFACE_BLOCK_ROWS = 16_384
 
 
 def _population_draws(
@@ -221,6 +229,12 @@ def _population_draws(
     covariance (not the config, which may hold unhashable lists). A miss
     drops the kept arrays before drawing, so at most one set is held. The
     entry is read once, so a concurrent call never gets another key's arrays.
+
+    A miss writes each domain's draws into the rows of one ``X`` and fills
+    the surfaces block by block, so beyond the arrays it keeps it holds one
+    domain's standard normals, then one block's temporaries. Every value is
+    that of the whole-array computation: the same matrix product per domain,
+    and elementwise operations after it.
     """
     global _population_cache
     parts = [(n_src, config.mu_source, config.cov_source)] if n_src else []
@@ -232,12 +246,19 @@ def _population_draws(
     if entry is None or entry[0] != key:
         _population_cache = None
         rng = np.random.default_rng(seed)
-        draws = []
+        X, start = np.empty((n_draws, 3)), 0
         for n, mu, cov in parts:
             chol = np.linalg.cholesky(np.asarray(cov, dtype=float))
-            draws.append(rng.standard_normal((n, 3)) @ chol.T + np.asarray(mu))
-        X = np.vstack(draws)
-        entry = (key, tuple(_readonly(a) for a in (X, outcome_surface_treated(X), outcome_surface_control(X))))
+            rows = X[start : start + n]
+            np.matmul(rng.standard_normal((n, 3)), chol.T, out=rows)
+            rows += np.asarray(mu, dtype=float)
+            start += n
+        mu1, mu0 = np.empty(n_draws), np.empty(n_draws)
+        for start in range(0, n_draws, SURFACE_BLOCK_ROWS):
+            block = slice(start, start + SURFACE_BLOCK_ROWS)
+            t = feature_transform(X[block])
+            mu1[block], mu0[block] = _treated_from_transform(t), _control_from_transform(t)
+        entry = (key, tuple(_readonly(a) for a in (X, mu1, mu0)))
         _population_cache = entry
     return entry[1]
 
@@ -264,8 +285,10 @@ def population_reward(
     n_src = 0 if scope == "target" else int(round(n_draws * config.source_fraction))
     X, mu1, mu0 = _population_draws(config, n_src, n_draws, seed)
     decisions = policy.decide(X)
-    values = decisions * mu1 + (1.0 - decisions) * mu0
-    return float(values.mean())
+    # decisions * mu1 + (1 - decisions) * mu0, operation for operation, in two buffers
+    values, control = np.multiply(decisions, mu1), np.subtract(1.0, decisions)
+    np.multiply(control, mu0, out=control)
+    return float(np.add(values, control, out=values).mean())
 
 
 def write_truth_csv(sim: SimulatedData, path: str | Path) -> None:

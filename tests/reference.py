@@ -4,7 +4,9 @@ These translate the estimator definitions into plain scalar loops over rows,
 deliberately sharing no code with the package's vectorized coefficient path.
 They take raw nuisance value arrays, not fitted models. The learner reference
 runs one coefficient set step by step, with the sign-masked sigmoid. The
-population-reward reference draws its points anew on every call.
+population-reward reference draws its points anew on every call, builds
+them and the surfaces as whole arrays, and forms the reward with one
+temporary per operation; the expansion reference stacks its columns.
 """
 
 from __future__ import annotations
@@ -178,12 +180,11 @@ def stepwise_learner(a, b, covariates, config, temperature: float = 1.0) -> tupl
     return theta_raw, trace, best_epoch
 
 
-def population_reward_reference(config, policy, scope="target", n_draws=200_000, seed=20_000_000) -> float:
-    """Monte Carlo true reward of a policy, drawing its covariates on every call."""
+def population_draws_reference(config, n_src, n_draws, seed):
+    """The Monte Carlo draws and both surfaces built whole: each domain's
+    normals times its Cholesky factor plus its mean, stacked, then one pass
+    of each outcome surface over every draw."""
     rng = np.random.default_rng(seed)
-    if scope not in ("target", "entire"):
-        raise ValueError("scope must be 'target' or 'entire'")
-    n_src = 0 if scope == "target" else int(round(n_draws * config.source_fraction))
     parts = []
     if n_src:
         chol = np.linalg.cholesky(np.asarray(config.cov_source, dtype=float))
@@ -191,6 +192,32 @@ def population_reward_reference(config, policy, scope="target", n_draws=200_000,
     chol = np.linalg.cholesky(np.asarray(config.cov_target, dtype=float))
     parts.append(rng.standard_normal((n_draws - n_src, 3)) @ chol.T + np.asarray(config.mu_target))
     X = np.vstack(parts)
-    decisions = policy.decide(X)
-    values = decisions * outcome_surface_treated(X) + (1.0 - decisions) * outcome_surface_control(X)
-    return float(values.mean())
+    return X, outcome_surface_treated(X), outcome_surface_control(X)
+
+
+def reward_reference(decisions, mu1, mu0) -> float:
+    """Mean of decisions * mu1 + (1 - decisions) * mu0, one temporary per operation."""
+    return float((decisions * mu1 + (1.0 - decisions) * mu0).mean())
+
+
+def population_reward_reference(config, policy, scope="target", n_draws=200_000, seed=20_000_000) -> float:
+    """Monte Carlo true reward of a policy, drawing its covariates on every call."""
+    if scope not in ("target", "entire"):
+        raise ValueError("scope must be 'target' or 'entire'")
+    n_src = 0 if scope == "target" else int(round(n_draws * config.source_fraction))
+    X, mu1, mu0 = population_draws_reference(config, n_src, n_draws, seed)
+    return reward_reference(policy.decide(X), mu1, mu0)
+
+
+def expand_reference(kind: str, x) -> np.ndarray:
+    """A feature expansion stacked from its columns: the intercept, the covariates,
+    then (quadratic) their squares and the products x_i * x_j for i < j."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n, p = x.shape
+    if kind == "intercept":
+        return np.ones((n, 1))
+    if kind == "raw":
+        return np.hstack([np.ones((n, 1)), x])
+    cols = [np.ones((n, 1)), x, x**2]
+    cols += [(x[:, i] * x[:, j])[:, None] for i in range(p) for j in range(i + 1, p)]
+    return np.hstack(cols)

@@ -169,6 +169,8 @@ def test_unknown_config_keys_exit_2_and_name_the_key(tmp_path, capsys, section, 
         ({"nuisance": {"clip": 0.7}}, "clip"),
         ({"nuisance": {"clip": 0.5}}, "clip"),
         ({"nuisance": {"clip": 0}}, "clip"),
+        ({"nuisance": {"outcome_map": "bogus"}}, "outcome_map"),
+        ({"learner": {"feature_map": "bogus"}}, "feature_map"),
     ],
 )
 def test_misconfigured_values_exit_2_and_name_the_key(tmp_path, capsys, payload, named):

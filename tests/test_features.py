@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from policyshift import FeatureMap, sigmoid
-from reference import masked_sigmoid
+from reference import expand_reference, masked_sigmoid
 
 
 @pytest.mark.parametrize(
@@ -23,6 +23,19 @@ def test_expansion_is_deterministic():
     fmap = FeatureMap("quadratic", 3)
     x = np.random.default_rng(0).normal(size=(5, 3))
     assert np.array_equal(fmap.expand(x), fmap.expand(x.copy()))
+
+
+@pytest.mark.parametrize("kind", ["intercept", "raw", "quadratic"])
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_expansion_is_bitwise_the_stacked_columns(kind, p):
+    rng = np.random.default_rng(p)
+    fmap = FeatureMap(kind, p)
+    for x in (rng.normal(size=(37, p)), 1e150 * rng.normal(size=(4, p)), rng.normal(size=p), np.zeros((0, p))):
+        got, want = fmap.expand(x), expand_reference(kind, x)
+        assert got.shape == want.shape == (len(np.atleast_2d(x)), fmap.p_out)
+        assert got.flags.c_contiguous and np.array_equal(got, want)
+    column = rng.normal(size=(50, 2 * p))[:, ::2]  # strided input
+    assert np.array_equal(fmap.expand(column), expand_reference(kind, column))
 
 
 def test_dimension_mismatch_raises():

@@ -368,6 +368,9 @@ def test_clip_must_be_in_range():
         ({"clip": 0.0}, "clip"),
         ({"clip": 0.5}, "clip"),
         ({"clip": 0.7}, "clip"),
+        ({"outcome_map": "bogus"}, "outcome_map"),
+        ({"propensity_map": "cubic"}, "propensity_map"),
+        ({"sampling_map": "Quadratic"}, "sampling_map"),
     ],
 )
 def test_nuisance_config_refuses_out_of_range_values(options, named):

@@ -324,6 +324,8 @@ def test_a_misaligned_group_or_an_oversized_batch_fails_the_whole_ascent(monkeyp
         ({"step_size": -0.05}, "step_size"),
         ({"step_size": float("inf")}, "step_size"),
         ({"step_size": float("nan")}, "step_size"),
+        ({"feature_map": "bogus"}, "feature_map"),
+        ({"feature_map": ""}, "feature_map"),
     ],
 )
 def test_learner_config_refuses_out_of_range_values(options, named):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from policyshift import simulate
 from policyshift.policy import LinearPolicy, OraclePolicy
 from policyshift.features import FeatureMap
 
-from reference import population_reward_reference
+from reference import population_draws_reference, population_reward_reference, reward_reference
 
 
 def test_feature_transform_fixed_points():
@@ -258,6 +259,49 @@ def test_a_policy_writing_into_the_draws_is_refused_and_leaves_them_intact():
     with pytest.raises(ValueError, match="read-only"):
         population_reward(config, Writing(), "target", 2_000, 8)
     assert population_reward(config, RAW_POLICY, "target", 2_000, 8) == expected
+
+
+QUADRATIC_POLICY = LinearPolicy(
+    theta=np.array([0.5, -0.2, 0.1, 0.3, 0.01, -0.02, 0.015, 0.02, -0.01, 0.005]), fmap=FeatureMap("quadratic", 3)
+)
+BLOCK = simulate.SURFACE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("scope", ["target", "entire"])
+@pytest.mark.parametrize("n_draws", [1, 2, BLOCK, 2 * BLOCK + 5, 200_000])
+def test_truth_cache_is_bitwise_the_whole_array_build(monkeypatch, scope, n_draws):
+    config = SimConfig()
+    n_src = 0 if scope == "target" else int(round(n_draws * config.source_fraction))
+    monkeypatch.setattr(simulate, "_population_cache", None)
+    built = simulate._population_draws(config, n_src, n_draws, 20_000_000)
+    expected = population_draws_reference(config, n_src, n_draws, 20_000_000)
+    for got, want in zip(built, expected):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("scope", ["target", "entire"])
+@pytest.mark.parametrize("n_draws", [1, 2 * BLOCK + 5, 200_000])
+def test_population_reward_is_bitwise_the_four_temporary_reward(scope, n_draws):
+    config = shift_sweep_config(SimConfig(), 2.0)
+    n_src = 0 if scope == "target" else int(round(n_draws * config.source_fraction))
+    X, mu1, mu0 = population_draws_reference(config, n_src, n_draws, 20_000_000)
+    for policy in (RAW_POLICY, QUADRATIC_POLICY, ORACLE):
+        expected = reward_reference(policy.decide(X), mu1, mu0)
+        assert population_reward(config, policy, scope, n_draws) == expected
+
+
+def test_building_the_truth_holds_little_beyond_what_it_keeps(monkeypatch):
+    config = SimConfig()
+    monkeypatch.setattr(simulate, "_population_cache", None)
+    tracemalloc.start()
+    try:
+        kept = simulate._population_draws(config, 0, 200_000, 20_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept_bytes = sum(a.nbytes for a in kept)
+    assert kept_bytes == 200_000 * 5 * 8  # X and two surfaces
+    assert peak <= 1.5 * kept_bytes, f"peak {peak} bytes for {kept_bytes} kept"
 
 
 def test_truth_sidecar_round_trip(tmp_path):
