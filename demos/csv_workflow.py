@@ -35,7 +35,7 @@ print(f"ingested {dataset.n} rows from {data_path.name}: {dataset.n_source} sour
 
 nuisances = fit_nuisances(dataset)
 coeffs = reward_coefficients(dataset, nuisances, "se", "r")
-policy, trace = learn_policy(coeffs, dataset.covariates, LearnerConfig(seed=3, max_epochs=200))
+policy, trace = learn_policy(coeffs, dataset.covariates, LearnerConfig(max_epochs=200), seed=3)
 
 policy_path = out_dir / "demo_policy.json"
 policy_path.write_text(json.dumps(policy.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -31,7 +31,7 @@ print(header)
 print("-" * len(header))
 for method in ("direct", "ipw", "se"):
     coeffs = reward_coefficients(sim.dataset, nuisances, method, "r")
-    policy, trace = learn_policy(coeffs, sim.dataset.covariates, LearnerConfig(seed=42, max_epochs=300))
+    policy, trace = learn_policy(coeffs, sim.dataset.covariates, LearnerConfig(max_epochs=300), seed=42)
     metrics = evaluate_policy(policy, sim, welfare_scope="target")
     claimed = estimate(coeffs, policy.decide(sim.dataset.covariates)).value
     print(

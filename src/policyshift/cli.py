@@ -117,8 +117,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     dataset = ingest_csv(args.data)
     nuisances = fit_nuisances(dataset, config.nuisance)
     coeffs = reward_coefficients(dataset, nuisances, args.method, "r")
-    learner = config.learner if args.seed is None else replace(config.learner, seed=args.seed)
-    policy, trace = learn_policy(coeffs, dataset.covariates, learner)
+    policy, trace = learn_policy(coeffs, dataset.covariates, config.learner, seed=args.seed)
     payload = {
         "policy": policy.to_dict(),
         "method": args.method,
@@ -195,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="input dataset CSV")
     p.add_argument("--method", default="se", choices=list(DEFAULT_METHODS))
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="override the learner seed")
+    p.add_argument("--seed", type=int, default=0, help="seed of the learner's mini-batch order")
     p.add_argument("--out-policy", required=True, help="output policy JSON")
     p.set_defaults(func=cmd_learn)
 

@@ -241,7 +241,7 @@ def _evaluate(stage: tuple, method: str, outcome, welfare_scope: str) -> dict:
         "estimate": _estimate_to_dict(est),
         "theta": [float(t) for t in policy.theta],
         "best_epoch": trace.best_epoch,
-        "objective_trace": [float(o) for o in trace.objectives],
+        "objective": trace.best_objective,
         "bias_diagnostic": float(diag),
         "bound_term": float(bound.bound_term),
     }

@@ -28,6 +28,8 @@ class LinearPolicy:
     fmap: FeatureMap
 
     def __post_init__(self) -> None:
+        if np.ndim(self.theta) != 1 or not np.isfinite(self.theta).all():
+            raise ValueError(f"theta must be a finite 1-D vector, got {self.theta!r}")
         if len(self.theta) != self.fmap.p_out:
             raise ValueError(f"theta has {len(self.theta)} entries, feature map produces {self.fmap.p_out}")
 
@@ -80,7 +82,6 @@ class LearnerConfig:
     batch_size: int = 128
     step_size: float = 0.05
     max_epochs: int = 500
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.feature_map not in FEATURE_KINDS:
@@ -109,43 +110,20 @@ class TrainingTrace:
         return self.objectives[self.best_epoch]
 
 
-def learn_policies(
-    coeffs_seq: Sequence[RewardCoefficients],
-    covariates: np.ndarray,
-    config: LearnerConfig | None = None,
-) -> list[tuple[LinearPolicy, TrainingTrace] | FloatingPointError]:
-    """Maximize the smoothed estimated reward for several coefficient sets at once.
-
-    Set j's objective is mean_i[sigmoid(theta_j . f_i) * a_ji + b_ji]; its
-    exact per-sample gradient a_ji * sigmoid'(z_ji) * f_i drives plain
-    mini-batch ascent from theta_j = 0 (the indifferent policy). The sets
-    share the covariates and the seed, hence the mini-batch order, so one loop
-    moves every theta_j, and each theta_j sees exactly the arithmetic of a run
-    on its own set.
-
-    Each result is ``(policy, trace)``, with the coefficients of the epoch with
-    the best full-data smoothed objective, the initial point included; or, for
-    a set whose theta becomes non-finite during an epoch, the
-    ``FloatingPointError`` that stopped it, leaving the other sets unchanged.
-    Misaligned rows and a bad batch size raise ``ValueError`` for all sets.
-    """
-    config = config or LearnerConfig()
-    (results,) = _ascend([(coeffs_seq, covariates, config.seed)], config)
-    return results
-
-
 def _ascend(
     groups: Sequence[tuple[Sequence[RewardCoefficients], np.ndarray, int]],
     config: LearnerConfig,
 ) -> list[list[tuple[LinearPolicy, TrainingTrace] | FloatingPointError]]:
-    """``learn_policies`` for several groups in one loop, bit for bit.
+    """Maximize the smoothed estimated reward of every coefficient set of several groups at once.
 
-    A group is ``(coeffs_seq, covariates, seed)``: one replication's sets with
-    their own covariates, standardization and permutation stream (``seed``
-    replaces ``config.seed``). Each group's entry is its ``learn_policies``
-    result. Every group is checked before any work: groups that do not share
-    the covariate shape, misaligned rows or a batch size beyond the rows raise
-    ``ValueError``.
+    A group is ``(coeffs_seq, covariates, seed)``: one replication's sets,
+    sharing its covariates, standardization and the mini-batch order drawn
+    from ``seed``. Each set's result is ``(policy, trace)`` at the epoch with
+    the best full-data smoothed objective, the initial point included, or the
+    ``FloatingPointError`` of a set whose theta went non-finite, which leaves
+    the other sets unchanged. Every group is checked before any work: groups
+    that do not share the covariate shape, misaligned rows or a batch size
+    beyond the rows raise ``ValueError``.
 
     Every product is a stack of the (rows, k) @ (k, 1) and (1, rows) @
     (rows, k) matrix-vector products that one set on its own computes, so each
@@ -256,13 +234,14 @@ def learn_policy(
     coeffs: RewardCoefficients,
     covariates: np.ndarray,
     config: LearnerConfig | None = None,
+    seed: int = 0,
 ) -> tuple[LinearPolicy, TrainingTrace]:
-    """Maximize the smoothed estimated reward over linear policies.
+    """Maximize mean_i[sigmoid(theta . f_i) * a_i + b_i] over linear policies from theta = 0.
 
-    ``learn_policies`` for one coefficient set; a non-finite gradient raises
-    ``FloatingPointError``.
+    ``_ascend`` for one coefficient set, in the mini-batch order drawn from
+    ``seed``; a non-finite gradient raises ``FloatingPointError``.
     """
-    (result,) = learn_policies([coeffs], covariates, config)
+    ((result,),) = _ascend([([coeffs], covariates, seed)], config or LearnerConfig())
     if isinstance(result, FloatingPointError):
         raise result
     return result

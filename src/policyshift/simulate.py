@@ -76,6 +76,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_source < 1 or self.n_target < 1:
             raise ValueError("both domains need at least one row")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
         # the outcome surfaces read exactly three covariates

@@ -136,7 +136,7 @@ def masked_sigmoid(z) -> np.ndarray:
     return out
 
 
-def stepwise_learner(a, b, covariates, config, temperature: float = 1.0) -> tuple[np.ndarray, list[float], int]:
+def stepwise_learner(a, b, covariates, config, seed: int, temperature: float = 1.0) -> tuple[np.ndarray, list[float], int]:
     """One coefficient set's mini-batch ascent, one gathered batch and one check per step.
 
     The objective is mean(sigmoid(theta . f / temperature) * a + b). Returns
@@ -153,7 +153,7 @@ def stepwise_learner(a, b, covariates, config, temperature: float = 1.0) -> tupl
         sd = F[:, 1:].std(axis=0)
         scale[1:] = np.where(sd > 0, sd, 1.0)
     Fs = (F - shift) / scale
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     theta = np.zeros(k)
 
     def objective(t):

@@ -358,14 +358,14 @@ def test_criterion_8_learner_recovers_realizable_oracle():
 
     # (a) linear policy on the raw covariates: the oracle boundary is not in
     # this class, so the agreement is reported rather than presumed
-    policy_a, _ = learn_policy(coeffs, ds.covariates, LearnerConfig(seed=1))
+    policy_a, _ = learn_policy(coeffs, ds.covariates, seed=1)
     agree_a = float(np.mean(policy_a.decide(ds.covariates[tgt]) == oracle_decisions))
 
     # (b) quadratic policy over the generator's transformed covariates: the
     # oracle boundary is exactly realizable in this class
     transformed = feature_transform(ds.covariates)
     coeffs_b = reward_coefficients(ds, sim.truth, "se", "r")
-    policy_b, _ = learn_policy(coeffs_b, transformed, LearnerConfig(feature_map="quadratic", seed=1))
+    policy_b, _ = learn_policy(coeffs_b, transformed, LearnerConfig(feature_map="quadratic"), seed=1)
     agree_b = float(np.mean(policy_b.decide(transformed[tgt]) == oracle_decisions))
 
     ok = report(

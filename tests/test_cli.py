@@ -85,6 +85,28 @@ def test_learn_then_estimate_round_trip(tmp_path, config_path):
         assert result["estimand"] == estimand
 
 
+def test_learn_seeds_the_mini_batch_order_and_defaults_to_0(tmp_path, config_path):
+    data = tmp_path / "data.csv"
+    assert main(["simulate", "--config", config_path, "--out-data", str(data)]) == 0
+    policies = {}
+    for seed in (None, "0", "7"):
+        out = tmp_path / f"policy_{seed}.json"
+        argv = ["learn", "--data", str(data), "--config", config_path, "--out-policy", str(out)]
+        assert main(argv + ([] if seed is None else ["--seed", seed])) == 0
+        policies[seed] = out.read_bytes()
+    assert policies[None] == policies["0"] != policies["7"]
+
+
+@pytest.mark.parametrize("theta", [[float("nan"), 1.0, 1.0, 1.0], [1.0, float("inf"), 1.0, 1.0], [[1.0], [0.0], [0.0], [0.0]]])
+def test_estimate_refuses_a_policy_whose_theta_is_not_a_finite_vector(tmp_path, config_path, capsys, theta):
+    data, policy, out = tmp_path / "data.csv", tmp_path / "policy.json", tmp_path / "est.json"
+    assert main(["simulate", "--config", config_path, "--out-data", str(data)]) == 0
+    policy.write_text(json.dumps({"theta": theta, "feature_map": "raw", "p_in": 3}), encoding="utf-8")
+    assert main(["estimate", "--data", str(data), "--policy", str(policy), "--out", str(out)]) == 2
+    assert "theta must be a finite 1-D vector" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_errors_exit_nonzero(tmp_path, config_path, capsys):
     assert main(["table", "--config", config_path, "--reps", "1", "--out", str(tmp_path / "x.json")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -121,6 +143,7 @@ def test_misused_table_and_sweep_options_exit_2_and_write_nothing(tmp_path, conf
         ("learner", "temperature", 0.5),
         ("learner", "anneal_to", 0.05),
         ("learner", "standardize", False),
+        ("learner", "seed", 12_345),
         ("sim", "n_rows", 10),
     ],
 )
@@ -171,6 +194,7 @@ def test_unknown_config_keys_exit_2_and_name_the_key(tmp_path, capsys, section, 
         ({"nuisance": {"clip": 0}}, "clip"),
         ({"nuisance": {"outcome_map": "bogus"}}, "outcome_map"),
         ({"learner": {"feature_map": "bogus"}}, "feature_map"),
+        ({"sim": {"seed": -3, "n_source": 64, "n_target": 128}, "learner": {"max_epochs": 5, "batch_size": 32}}, "seed"),
     ],
 )
 def test_misconfigured_values_exit_2_and_name_the_key(tmp_path, capsys, payload, named):

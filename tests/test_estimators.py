@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,16 @@ from hypothesis import strategies as st
 
 from policyshift import (
     CombinedDataset,
+    FeatureMap,
+    LinearPolicy,
+    NuisanceConfig,
+    SimConfig,
     bias_diagnostic,
     estimate,
+    fit_nuisances,
     generalization_bound,
+    generate,
+    population_reward,
     reward_coefficients,
 )
 from policyshift.estimators import Z_95
@@ -394,3 +403,22 @@ def test_scores_pinned_at_the_clip_give_finite_coefficients_estimates_and_bound(
         est = estimate(coeffs, pi)
         assert np.isfinite(est.value) and np.isfinite(est.std_error)
     assert np.isfinite(generalization_bound(ds, ns, eta=0.05, policy_class_size=10**4).bound_term)
+
+
+def test_se_interval_covers_the_truth_on_the_fitted_path_with_a_quadratic_outcome_map():
+    """se's 95% CI of a fixed policy's target reward, with fitted nuisances, at the default design.
+
+    Criterion 4 checks coverage with the true nuisances. Here the outcome
+    regressions are quadratic; the pass rule, 0.95 - 3 * sqrt(0.95 * 0.05 / 200),
+    is fixed in advance, and the seeds lie apart from the acceptance seeds.
+    """
+    config = SimConfig()
+    policy = LinearPolicy(theta=np.array([-2.0, 0.3, -0.5, 0.2]), fmap=FeatureMap("raw", 3))
+    truth = population_reward(config, policy, "target", 2_000_000, seed=9_093)
+    reps, covered = 200, 0
+    for seed in range(910_000, 910_000 + reps):
+        ds = generate(replace(config, seed=seed)).dataset
+        nuisances = fit_nuisances(ds, NuisanceConfig(outcome_map="quadratic"))
+        est = estimate(reward_coefficients(ds, nuisances, "se", "r"), policy.decide(ds.covariates))
+        covered += est.ci_low <= truth <= est.ci_high
+    assert covered / reps >= 0.95 - 3 * np.sqrt(0.95 * 0.05 / reps)

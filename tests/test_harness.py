@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,10 @@ from policyshift import (
     SimConfig,
     conditional_effect,
     evaluate_policy,
+    fit_nuisances,
     generate,
+    learn_policy,
+    reward_coefficients,
     run_replication,
     run_sweep,
     run_table,
@@ -74,6 +77,71 @@ def test_run_replication_records_all_methods():
         assert set(entry["metrics"]) == set(METRIC_NAMES)
         assert len(entry["theta"]) == 4
     assert set(record["nuisance_coefficients"]) == {"mu0", "mu1", "e1", "s"}
+
+
+def test_a_method_entry_keeps_the_summary_of_learn_policy_run_alone_on_its_replication():
+    config = small_config(seed=61)
+    for record in run_table(config, replications=2).replications:
+        sim = generate(replace(config.sim, seed=record["seed"]))
+        nuisances = fit_nuisances(sim.dataset, config.nuisance)
+        for method, entry in record["methods"].items():
+            assert set(entry) == {"metrics", "estimate", "theta", "best_epoch", "objective", "bias_diagnostic", "bound_term"}
+            coeffs = reward_coefficients(sim.dataset, nuisances, method, "r")
+            policy, trace = learn_policy(coeffs, sim.dataset.covariates, config.learner, seed=record["seed"])
+            assert (entry["objective"], entry["best_epoch"]) == (trace.best_objective, trace.best_epoch)
+            assert entry["theta"] == policy.theta.tolist()
+
+
+# a non-default value of every option of a replication's config, keyed "section.name"
+OPTION_VALUES = {
+    "sim.n_source": 48,
+    "sim.n_target": 96,
+    "sim.mu_source": (10.5, 3.0, 7.0),
+    "sim.mu_target": (9.0, 4.5, 6.0),
+    "sim.cov_source": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    "sim.cov_target": ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 2.0)),
+    "sim.beta_treatment": 0.5,
+    "sim.noise_sd": 2.0,
+    "sim.shared_noise": False,
+    "sim.seed": 1_000,
+    "nuisance.outcome_map": "quadratic",
+    "nuisance.propensity_map": "quadratic",
+    "nuisance.sampling_map": "raw",
+    "nuisance.outcome_ridge": 1.0,
+    "nuisance.logistic_ridge": 1.0,
+    "nuisance.clip": 0.2,
+    "nuisance.folds": 2,
+    "learner.feature_map": "quadratic",
+    "learner.batch_size": 16,
+    "learner.step_size": 0.5,
+    "learner.max_epochs": 3,
+    "welfare_scope": "target",
+}
+GUARD_CONFIG = ExperimentConfig(
+    sim=SimConfig(n_source=64, n_target=128, seed=70), learner=LearnerConfig(max_epochs=5, batch_size=32)
+)
+
+
+def test_the_option_guard_covers_every_option():
+    options = set()
+    for f in fields(ExperimentConfig):
+        value = getattr(GUARD_CONFIG, f.name)
+        options |= {f"{f.name}.{g.name}" for g in fields(value)} if is_dataclass(value) else {f.name}
+    assert set(OPTION_VALUES) == options
+
+
+@pytest.fixture(scope="module")
+def guard_records():
+    return replication_json(run_table(GUARD_CONFIG, replications=2))
+
+
+# an option that a table ignores would leave these records as they are
+@pytest.mark.parametrize("option", list(OPTION_VALUES))
+def test_every_option_moves_a_tables_records(guard_records, option):
+    section, _, name = option.partition(".")
+    value = replace(getattr(GUARD_CONFIG, section), **{name: OPTION_VALUES[option]}) if name else OPTION_VALUES[option]
+    config = replace(GUARD_CONFIG, **{section: value})
+    assert replication_json(run_table(config, replications=2)) != guard_records
 
 
 def test_a_method_with_non_finite_coefficients_fails_alone(monkeypatch):

@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "generalization_bound",
     "generate",
     "ingest_csv",
-    "learn_policies",
     "learn_policy",
     "paired_t_test",
     "population_reward",

@@ -16,7 +16,6 @@ from policyshift import (
     SimConfig,
     fit_nuisances,
     generate,
-    learn_policies,
     learn_policy,
     reward_coefficients,
     true_nuisances,
@@ -61,14 +60,14 @@ def test_oracle_decision_from_generator_truth():
 def test_positive_gains_learn_to_treat_everyone():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(200, 2))
-    policy, _ = learn_policy(coeffs_from(np.ones(200)), x, LearnerConfig(max_epochs=60, seed=1))
+    policy, _ = learn_policy(coeffs_from(np.ones(200)), x, LearnerConfig(max_epochs=60), seed=1)
     assert np.all(policy.decide(x) == 1.0)
 
 
 def test_negative_gains_learn_to_treat_no_one():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(200, 2))
-    policy, _ = learn_policy(coeffs_from(-np.ones(200)), x, LearnerConfig(max_epochs=60, seed=1))
+    policy, _ = learn_policy(coeffs_from(-np.ones(200)), x, LearnerConfig(max_epochs=60), seed=1)
     assert np.all(policy.decide(x) == 0.0)
 
 
@@ -78,7 +77,7 @@ def test_sign_boundary_is_recovered_and_matches_grid_search():
     a = np.sign(x[:, 0])
     coeffs = coeffs_from(a)
     # a large step is a sharp relaxation (temperature 0.05 at step 0.05), which resolves near-boundary points
-    policy, _ = learn_policy(coeffs, x, LearnerConfig(max_epochs=150, seed=3, step_size=20.0))
+    policy, _ = learn_policy(coeffs, x, LearnerConfig(max_epochs=150, step_size=20.0), seed=3)
     decisions = policy.decide(x)
     assert policy.theta[1] > 0
     assert np.mean(decisions == (a > 0)) == 1.0
@@ -92,8 +91,8 @@ def test_rescaled_gains_with_rescaled_step_leave_decisions_unchanged():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(150, 2))
     a = rng.normal(size=150)
-    base, _ = learn_policy(coeffs_from(a), x, LearnerConfig(max_epochs=40, step_size=0.05, seed=5))
-    scaled, _ = learn_policy(coeffs_from(10.0 * a), x, LearnerConfig(max_epochs=40, step_size=0.005, seed=5))
+    base, _ = learn_policy(coeffs_from(a), x, LearnerConfig(max_epochs=40, step_size=0.05), seed=5)
+    scaled, _ = learn_policy(coeffs_from(10.0 * a), x, LearnerConfig(max_epochs=40, step_size=0.005), seed=5)
     assert np.array_equal(base.decide(x), scaled.decide(x))
     assert np.allclose(base.theta, scaled.theta, rtol=1e-9, atol=1e-12)
 
@@ -103,7 +102,7 @@ def test_best_epoch_objective_dominates_initialization():
     x = rng.normal(size=(120, 2))
     a = rng.normal(size=120)
     b = rng.normal(size=120)
-    _, trace = learn_policy(coeffs_from(a, b), x, LearnerConfig(max_epochs=30, seed=8, batch_size=64))
+    _, trace = learn_policy(coeffs_from(a, b), x, LearnerConfig(max_epochs=30, batch_size=64), seed=8)
     assert trace.best_objective >= trace.initial_objective
     assert len(trace.objectives) == 31
 
@@ -124,6 +123,12 @@ def test_policy_round_trip_serialization():
     assert np.array_equal(clone.theta, policy.theta)
 
 
+@pytest.mark.parametrize("theta", [[np.nan, 1.0], [0.5, np.inf], [-np.inf, 0.0], [[0.5], [-2.0]]])
+def test_a_linear_policy_refuses_a_theta_that_is_not_a_finite_vector(theta):
+    with pytest.raises(ValueError, match="theta must be a finite 1-D vector"):
+        LinearPolicy(theta=np.array(theta), fmap=FeatureMap("raw", 1))
+
+
 def test_a_policy_file_with_a_temperature_loads_and_decides_as_before():
     payload = {"theta": [0.2, -1.0, 0.5], "feature_map": "raw", "p_in": 2, "temperature": 0.3}
     policy = LinearPolicy.from_dict(payload)
@@ -141,9 +146,9 @@ def same_result(result, other):
     )
 
 
-def matches_stepwise(result, coeffs, x, config):
+def matches_stepwise(result, coeffs, x, config, seed):
     policy, trace = result
-    theta, objectives, best_epoch = stepwise_learner(coeffs.a, coeffs.b, x, config)
+    theta, objectives, best_epoch = stepwise_learner(coeffs.a, coeffs.b, x, config, seed)
     return np.array_equal(policy.theta, theta) and trace.objectives == objectives and trace.best_epoch == best_epoch
 
 
@@ -159,43 +164,45 @@ def default_replication_inputs(seed):
 @pytest.mark.parametrize("seed", [2_000_025, 2_000_000, 2_000_101])
 def test_batched_learner_is_bitwise_separate_runs_on_default_replications(seed):
     x, coeffs = default_replication_inputs(seed)
-    config = LearnerConfig(seed=seed)
-    batched = learn_policies(coeffs, x, config)
+    config = LearnerConfig()
+    (batched,) = _ascend([(coeffs, x, seed)], config)
     for coeffs_j, result in zip(coeffs, batched):
-        assert same_result(result, learn_policy(coeffs_j, x, config))
+        assert same_result(result, learn_policy(coeffs_j, x, config, seed=seed))
     if seed == 2_000_025:
-        assert all(matches_stepwise(result, c, x, config) for c, result in zip(coeffs, batched))
+        assert all(matches_stepwise(result, c, x, config, seed) for c, result in zip(coeffs, batched))
 
 
 # a power-of-two temperature scales exactly, so (step eta, temperature T) is bitwise (eta / T**2, 1) with theta / T
 @pytest.mark.parametrize("temperature", [0.25, 0.5, 2.0])
 def test_a_temperature_is_a_rescaled_step_size_bit_for_bit(temperature):
     x, coeffs = default_replication_inputs(2_000_024)
-    config = LearnerConfig(seed=2_000_024, max_epochs=200)
-    rescaled = learn_policies(coeffs, x, replace(config, step_size=config.step_size / temperature**2))
+    config, seed = LearnerConfig(max_epochs=200), 2_000_024
+    (rescaled,) = _ascend([(coeffs, x, seed)], replace(config, step_size=config.step_size / temperature**2))
     for coeffs_j, (policy, trace) in zip(coeffs, rescaled):
-        theta, objectives, best_epoch = stepwise_learner(coeffs_j.a, coeffs_j.b, x, config, temperature=temperature)
+        theta, objectives, best_epoch = stepwise_learner(coeffs_j.a, coeffs_j.b, x, config, seed, temperature=temperature)
         assert np.array_equal(theta / temperature, policy.theta)
         assert objectives == trace.objectives and best_epoch == trace.best_epoch
 
 
+# each case's config is the learner settings and the seed of its mini-batch order
 @pytest.mark.parametrize(
     "n,p,config",
     [
-        (203, 2, LearnerConfig(max_epochs=25, batch_size=16, seed=1)),
-        (150, 3, LearnerConfig(max_epochs=20, batch_size=64, step_size=0.2, seed=2)),
-        (97, 2, LearnerConfig(feature_map="quadratic", max_epochs=15, batch_size=10, seed=3)),
-        (40, 1, LearnerConfig(feature_map="intercept", max_epochs=10, batch_size=40, seed=4)),
+        (203, 2, (LearnerConfig(max_epochs=25, batch_size=16), 1)),
+        (150, 3, (LearnerConfig(max_epochs=20, batch_size=64, step_size=0.2), 2)),
+        (97, 2, (LearnerConfig(feature_map="quadratic", max_epochs=15, batch_size=10), 3)),
+        (40, 1, (LearnerConfig(feature_map="intercept", max_epochs=10, batch_size=40), 4)),
     ],
 )
 def test_batched_learner_matches_the_stepwise_reference_on_small_cases(n, p, config):
+    config, seed = config
     rng = np.random.default_rng(n)
     x = rng.normal(size=(n, p)) * rng.uniform(0.5, 3.0, size=p) + rng.normal(size=p)
     coeffs = [coeffs_from(rng.normal(scale=s, size=n), rng.normal(size=n)) for s in (1.0, 5.0, 30.0)]
-    batched = learn_policies(coeffs, x, config)
+    (batched,) = _ascend([(coeffs, x, seed)], config)
     for coeffs_j, result in zip(coeffs, batched):
-        assert matches_stepwise(result, coeffs_j, x, config)
-        assert same_result(result, learn_policy(coeffs_j, x, config))
+        assert matches_stepwise(result, coeffs_j, x, config, seed)
+        assert same_result(result, learn_policy(coeffs_j, x, config, seed=seed))
 
 
 def test_a_non_finite_set_fails_alone():
@@ -204,25 +211,25 @@ def test_a_non_finite_set_fails_alone():
     clean = [coeffs_from(rng.normal(size=90), rng.normal(size=90)) for _ in range(2)]
     bad_a = rng.normal(size=90)
     bad_a[17] = np.nan
-    config = LearnerConfig(max_epochs=12, batch_size=32, seed=14)
-    expected = learn_policies(clean, x, config)
-    results = learn_policies([clean[0], coeffs_from(bad_a), clean[1]], x, config)
+    config, seed = LearnerConfig(max_epochs=12, batch_size=32), 14
+    (expected,) = _ascend([(clean, x, seed)], config)
+    (results,) = _ascend([([clean[0], coeffs_from(bad_a), clean[1]], x, seed)], config)
     assert isinstance(results[1], FloatingPointError)
     assert str(results[1]) == "non-finite policy gradient; check reward coefficients"
     assert same_result(results[0], expected[0]) and same_result(results[2], expected[1])
     with pytest.raises(FloatingPointError, match="non-finite policy gradient"):
-        learn_policy(coeffs_from(bad_a), x, config)
+        learn_policy(coeffs_from(bad_a), x, config, seed=seed)
     with pytest.raises(FloatingPointError, match="non-finite policy gradient"):
-        stepwise_learner(bad_a, np.zeros(90), x, config)
+        stepwise_learner(bad_a, np.zeros(90), x, config, seed)
 
 
 def test_shared_learner_errors_raise_for_every_set():
     x = np.zeros((10, 1))
     with pytest.raises(ValueError, match="aligned"):
-        learn_policies([coeffs_from(np.ones(10)), coeffs_from(np.ones(9))], x, LearnerConfig())
+        _ascend([([coeffs_from(np.ones(10)), coeffs_from(np.ones(9))], x, 0)], LearnerConfig())
     with pytest.raises(ValueError, match="batch_size"):
-        learn_policies([coeffs_from(np.ones(10))] * 2, x, LearnerConfig(batch_size=11))
-    assert learn_policies([], x, LearnerConfig(batch_size=4)) == []
+        _ascend([([coeffs_from(np.ones(10))] * 2, x, 0)], LearnerConfig(batch_size=11))
+    assert _ascend([([], x, 0)], LearnerConfig(batch_size=4)) == [[]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,8 +244,8 @@ def test_every_trace_has_one_entry_per_epoch_and_never_ends_below_its_start(m, n
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 2))
     coeffs = [coeffs_from(rng.normal(scale=10.0, size=n), rng.normal(size=n)) for _ in range(m)]
-    config = LearnerConfig(max_epochs=max_epochs, batch_size=1 + int(batch_fraction * (n - 1)), seed=seed)
-    for _, trace in learn_policies(coeffs, x, config):
+    config = LearnerConfig(max_epochs=max_epochs, batch_size=1 + int(batch_fraction * (n - 1)))
+    for _, trace in _ascend([(coeffs, x, seed)], config)[0]:
         assert len(trace.objectives) == max_epochs + 1
         assert trace.best_objective >= trace.initial_objective
         assert trace.best_objective == max(trace.objectives)
@@ -249,15 +256,15 @@ ENGINE_SEEDS = (2_000_025, 2_000_000, 2_000_101, 2_000_024, 2_000_050)
 
 @functools.lru_cache(maxsize=None)
 def default_replication_run(seed, max_epochs):
-    """A default replication's inputs and its own learn_policies result."""
+    """A default replication's inputs and the result of its own ascent."""
     x, coeffs = default_replication_inputs(seed)
-    return x, coeffs, learn_policies(coeffs, x, LearnerConfig(seed=seed, max_epochs=max_epochs))
+    return x, coeffs, _ascend([(coeffs, x, seed)], LearnerConfig(max_epochs=max_epochs))[0]
 
 
 # each replication keeps its covariates, standardization and permutation stream inside the stack
 @pytest.mark.parametrize("seeds", [ENGINE_SEEDS[:1], ENGINE_SEEDS[1:3], ENGINE_SEEDS], ids=["R1", "R2", "R5"])
 def test_the_engine_learns_each_replication_bit_for_bit_as_alone(seeds):
-    config = LearnerConfig(max_epochs=200, seed=123)
+    config = LearnerConfig(max_epochs=200)
     runs = [default_replication_run(seed, config.max_epochs) for seed in seeds]
     stacked = _ascend([(coeffs, x, seed) for seed, (x, coeffs, _) in zip(seeds, runs)], config)
     for (_, _, alone), results in zip(runs, stacked):
@@ -279,14 +286,14 @@ def test_the_engine_pads_groups_with_fewer_sets_and_reports_only_real_sets():
     stacked = _ascend(groups, config)
     assert [len(results) for results in stacked] == [3, 0, 1, 2]
     for (coeffs, x, seed), results in zip(groups, stacked):
-        alone = learn_policies(coeffs, x, replace(config, seed=seed))
+        (alone,) = _ascend([(coeffs, x, seed)], config)
         assert all(same_result(r, a) for r, a in zip(results, alone))
 
 
 def test_a_non_finite_set_fails_alone_across_groups():
     groups = small_groups(np.random.default_rng(4), (3, 2, 3))
     config = LearnerConfig(max_epochs=10, batch_size=20)
-    expected = [learn_policies(coeffs, x, replace(config, seed=seed)) for coeffs, x, seed in groups]
+    expected = [_ascend([group], config)[0] for group in groups]
     bad = groups[1][0][1]
     groups[1][0][1] = coeffs_from(np.where(np.arange(bad.n) == 7, np.inf, bad.a), bad.b)
     with np.errstate(invalid="ignore"):  # inf - inf in the broken set's products

@@ -128,6 +128,8 @@ def test_invalid_configs_rejected():
         SimConfig(cov_source=((1.0, 2.0, 0.0), (2.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
     with pytest.raises(ValueError, match="at least one row"):
         SimConfig(n_source=0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        SimConfig(seed=-3)
     # the outcome surfaces read exactly three covariates
     with pytest.raises(ValueError, match=r"mu_source must have shape \(3,\)"):
         SimConfig(mu_source=(1.0, 2.0))
