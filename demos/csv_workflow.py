@@ -3,7 +3,8 @@
 Round-trips a dataset through CSV, learns a policy from the file, and
 estimates its reward with a confidence interval. This mirrors the CLI:
 
-    policyshift simulate --out-data data.csv --seed 3
+    echo '{"sim": {"seed": 3}}' > config.json
+    policyshift simulate --config config.json --out-data data.csv
     policyshift learn --data data.csv --method se --out-policy policy.json
     policyshift estimate --data data.csv --policy policy.json --method se --estimand r --out est.json
 """

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +66,7 @@ def _defaults_epilog() -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    sim_config = config.sim if args.seed is None else replace(config.sim, seed=args.seed)
-    sim = generate(sim_config)
+    sim = generate(_load_config(args.config).sim)
     write_csv(sim.dataset, args.out_data)
     if args.out_truth:
         write_truth_csv(sim, args.out_truth)
@@ -79,8 +76,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    if args.welfare_scope:
-        config = replace(config, welfare_scope=args.welfare_scope)
     methods = _parse_methods(args.methods)
     report = run_table(config, args.reps, methods, workers=args.workers)
     Path(args.out).write_text(report.to_json(), encoding="utf-8")
@@ -102,8 +97,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    if args.welfare_scope:
-        config = replace(config, welfare_scope=args.welfare_scope)
     methods = _parse_methods(args.methods)
     grid = _parse_grid(args.grid)
     results = run_sweep(args.kind, grid, config, args.reps, methods, workers=args.workers)
@@ -113,6 +106,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     config = _load_config(args.config)
     dataset = ingest_csv(args.data)
     nuisances = fit_nuisances(dataset, config.nuisance)
@@ -166,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out-data", required=True, help="output dataset CSV")
     p.add_argument("--out-truth", help="output ground-truth sidecar CSV")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("table", help="run replications and aggregate a results table")
@@ -176,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="output JSON report")
     p.add_argument("--out-csv", help="optional per-replication CSV")
-    p.add_argument("--welfare-scope", choices=["all", "target"], help="rows included in the welfare change sum")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("sweep", help="run the table across a robustness grid")
@@ -187,14 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=20, help="replications per grid point")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-csv", required=True, help="long-format output CSV")
-    p.add_argument("--welfare-scope", choices=["all", "target"])
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("learn", help="learn a policy from a CSV dataset (no ground truth needed)")
     p.add_argument("--data", required=True, help="input dataset CSV")
     p.add_argument("--method", default="se", choices=list(DEFAULT_METHODS))
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, default=0, help="seed of the learner's mini-batch order")
+    p.add_argument("--seed", type=int, default=0, help="nonnegative seed of the learner's mini-batch order")
     p.add_argument("--out-policy", required=True, help="output policy JSON")
     p.set_defaults(func=cmd_learn)
 

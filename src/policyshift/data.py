@@ -145,17 +145,8 @@ def require_valid(dataset: CombinedDataset) -> CombinedDataset:
     return dataset
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column-name mapping for dataset CSV files.
-
-    ``covariates=None`` takes every non-reserved column, in header order.
-    """
-
-    covariates: tuple[str, ...] | None = None
-    group: str = "g"
-    treatment: str = "a"
-    outcome: str = "y"
+# the reserved CSV columns; every other column is a covariate
+GROUP, TREATMENT, OUTCOME = "g", "a", "y"
 
 
 def _parse_cell(raw: str, line: int, column: str) -> float:
@@ -167,15 +158,15 @@ def _parse_cell(raw: str, line: int, column: str) -> float:
         raise ValueError(f"line {line}, column {column}: cannot parse {raw!r} as a number") from None
 
 
-def ingest_csv(path: str | Path, schema: CsvSchema | None = None) -> CombinedDataset:
+def ingest_csv(path: str | Path) -> CombinedDataset:
     """Read and validate a combined dataset from a CSV file.
 
-    The header must name every covariate column plus the group column; the
-    treatment/outcome columns are optional (a file with neither describes a
+    The columns ``g`` (group), ``a`` (treatment) and ``y`` (outcome) are
+    reserved, and every other column is a covariate, in header order. ``g``
+    is required; ``a`` and ``y`` are optional (a file with neither describes a
     pure target-domain extract and will fail validation if it has source rows).
     Empty cells mean absent; the group column must hold literal 0 or 1.
     """
-    schema = schema or CsvSchema()
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -186,16 +177,9 @@ def ingest_csv(path: str | Path, schema: CsvSchema | None = None) -> CombinedDat
         duplicated = [c for c in dict.fromkeys(header) if header.count(c) > 1]
         if duplicated:
             raise ValueError(f"{path}: duplicated header columns {duplicated}")
-        if schema.group not in header:
-            raise ValueError(f"{path}: missing group column {schema.group!r}")
-        reserved = {schema.group, schema.treatment, schema.outcome}
-        if schema.covariates is None:
-            cov_names = [c for c in header if c not in reserved]
-        else:
-            cov_names = list(schema.covariates)
-            missing = [c for c in cov_names if c not in header]
-            if missing:
-                raise ValueError(f"{path}: covariate columns not in header: {missing}")
+        if GROUP not in header:
+            raise ValueError(f"{path}: missing group column {GROUP!r}")
+        cov_names = [c for c in header if c not in (GROUP, TREATMENT, OUTCOME)]
         idx = {name: header.index(name) for name in header}
 
         rows_x: list[list[float]] = []
@@ -205,15 +189,15 @@ def ingest_csv(path: str | Path, schema: CsvSchema | None = None) -> CombinedDat
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-            g_raw = row[idx[schema.group]]
+            g_raw = row[idx[GROUP]]
             if g_raw not in ("0", "1"):
-                raise ValueError(f"line {line_no}, column {schema.group}: group must be literal 0 or 1, got {g_raw!r}")
+                raise ValueError(f"line {line_no}, column {GROUP}: group must be literal 0 or 1, got {g_raw!r}")
             rows_g.append(int(g_raw))
             rows_x.append([_parse_cell(row[idx[c]], line_no, c) for c in cov_names])
-            a_raw = row[idx[schema.treatment]] if schema.treatment in idx else ""
-            y_raw = row[idx[schema.outcome]] if schema.outcome in idx else ""
-            rows_a.append(_parse_cell(a_raw, line_no, schema.treatment))
-            rows_y.append(_parse_cell(y_raw, line_no, schema.outcome))
+            a_raw = row[idx[TREATMENT]] if TREATMENT in idx else ""
+            y_raw = row[idx[OUTCOME]] if OUTCOME in idx else ""
+            rows_a.append(_parse_cell(a_raw, line_no, TREATMENT))
+            rows_y.append(_parse_cell(y_raw, line_no, OUTCOME))
 
     if not rows_g:
         raise ValueError(f"{path}: no data rows")
@@ -233,13 +217,12 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_csv(dataset: CombinedDataset, path: str | Path, schema: CsvSchema | None = None) -> None:
+def write_csv(dataset: CombinedDataset, path: str | Path) -> None:
     """Write a dataset using full-precision decimal text (round-trip exact)."""
-    schema = schema or CsvSchema()
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(dataset.covariate_names) + [schema.group, schema.treatment, schema.outcome])
+        writer.writerow(list(dataset.covariate_names) + [GROUP, TREATMENT, OUTCOME])
         for i in range(dataset.n):
             a = dataset.treatment[i]
             writer.writerow(

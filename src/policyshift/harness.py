@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import RewardEstimate, bias_diagnostic, estimate, generalization_bound, reward_coefficients
-from .features import FeatureMap
+from .estimators import RewardEstimate, bias_diagnostic, estimate, reward_coefficients
+from .estimators import generalization_bound  # noqa: F401 -- perfbench/tracer.py wraps harness.generalization_bound by name
 from .nuisance import FitError, NuisanceConfig, fit_nuisances
 from .policy import LearnerConfig, LinearPolicy, OraclePolicy, _ascend
 from .policy import learn_policy  # noqa: F401 -- perfbench/tracer.py wraps harness.learn_policy by name
@@ -32,10 +32,7 @@ from .stats import paired_t_test
 DEFAULT_METHODS = ("direct", "ipw", "se")
 METRIC_NAMES = ("true_reward", "regret", "policy_error", "welfare_change")
 WELFARE_SCOPES = ("all", "target")
-BOUND_ETA = 0.05
-_KIND_NAMES = {
-    bool: "true or false", int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"
-}
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"}
 
 
 def json_option(section: str, key: str, value, default):
@@ -158,7 +155,7 @@ def _failure(exc: Exception) -> dict:
 
 
 def _stage(config: ExperimentConfig, replication: int, methods: tuple[str, ...]) -> tuple[dict, tuple | None]:
-    """Generate, fit, bound and build every method's coefficients for one replication.
+    """Generate, fit and build every method's coefficients for one replication.
 
     Returns the record so far and what learning and evaluation need, or no
     stage when a shared step (generation or nuisance fitting) failed, which
@@ -176,17 +173,13 @@ def _stage(config: ExperimentConfig, replication: int, methods: tuple[str, ...])
 
     record["nuisance_coefficients"] = nuisances.coefficients()
     record["methods"] = {}
-    # finite-class size for the bound: grid discretization of the policy class
-    policy_class_size = 10 ** FeatureMap(config.learner.feature_map, sim.dataset.p).p_out
-    # the bound depends on the nuisances only, not on the method or its policy
-    bound = generalization_bound(sim.dataset, nuisances, BOUND_ETA, policy_class_size)
     coeffs = {}
     for method in methods:
         try:
             coeffs[method] = reward_coefficients(sim.dataset, nuisances, method, "r")
         except (FitError, ValueError, FloatingPointError) as exc:
             coeffs[method] = exc
-    return record, (sim, nuisances, bound, coeffs)
+    return record, (sim, nuisances, coeffs)
 
 
 def _run_replications(config: ExperimentConfig, replications: range, methods: tuple[str, ...]) -> list[dict]:
@@ -206,7 +199,7 @@ def _run_replications(config: ExperimentConfig, replications: range, methods: tu
             staged.append((record, stage))
     groups = [
         ([c for c in coeffs.values() if not isinstance(c, Exception)], sim.dataset.covariates, record["seed"])
-        for record, (sim, _, _, coeffs) in staged
+        for record, (sim, _, coeffs) in staged
     ]
     try:
         group_results = _ascend(groups, config.learner)
@@ -217,7 +210,7 @@ def _run_replications(config: ExperimentConfig, replications: range, methods: tu
         record, stage = staged[i]
         staged[i] = None
         learned = iter(results)
-        for method, coeffs in stage[3].items():
+        for method, coeffs in stage[2].items():
             outcome = coeffs if isinstance(coeffs, Exception) else next(learned)
             record["methods"][method] = _evaluate(stage, method, outcome, config.welfare_scope)
     return records
@@ -227,7 +220,7 @@ def _evaluate(stage: tuple, method: str, outcome, welfare_scope: str) -> dict:
     """The record entry of one method: the scores of its learned policy, or why it failed."""
     if isinstance(outcome, Exception):
         return _failure(outcome)
-    sim, nuisances, bound, coeffs = stage
+    sim, nuisances, coeffs = stage
     policy, trace = outcome
     try:
         metrics = evaluate_policy(policy, sim, welfare_scope)
@@ -243,7 +236,6 @@ def _evaluate(stage: tuple, method: str, outcome, welfare_scope: str) -> dict:
         "best_epoch": trace.best_epoch,
         "objective": trace.best_objective,
         "bias_diagnostic": float(diag),
-        "bound_term": float(bound.bound_term),
     }
 
 

@@ -102,10 +102,6 @@ class TrainingTrace:
     best_epoch: int
 
     @property
-    def initial_objective(self) -> float:
-        return self.objectives[0]
-
-    @property
     def best_objective(self) -> float:
         return self.objectives[self.best_epoch]
 

@@ -70,7 +70,6 @@ class SimConfig:
     cov_target: tuple[tuple[float, ...], ...] = field(default_factory=lambda: _default_cov(1))
     beta_treatment: float = 0.0
     noise_sd: float = 1.0
-    shared_noise: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -111,7 +110,6 @@ class SimulatedData:
     potential: PotentialOutcomes
     truth: NuisanceSet
     oracle: OraclePolicy
-    config: SimConfig
 
 
 def _gaussian_logpdf(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -172,10 +170,9 @@ def generate(config: SimConfig | None = None) -> SimulatedData:
     treat_prob = np.asarray(truth.e1(x_source))
     treatment_src = (rng.random(n1) < treat_prob).astype(float)
 
-    noise1 = rng.standard_normal(n) * config.noise_sd
-    noise0 = noise1 if config.shared_noise else rng.standard_normal(n) * config.noise_sd
-    y1 = outcome_surface_treated(X) + noise1
-    y0 = outcome_surface_control(X) + noise0
+    noise = rng.standard_normal(n) * config.noise_sd  # shared by both arms
+    y1 = outcome_surface_treated(X) + noise
+    y0 = outcome_surface_control(X) + noise
 
     treatment = np.full(n, np.nan)
     outcome = np.full(n, np.nan)
@@ -193,7 +190,6 @@ def generate(config: SimConfig | None = None) -> SimulatedData:
         potential=PotentialOutcomes(y1=y1, y0=y0),
         truth=truth.bind(dataset.covariates),
         oracle=OraclePolicy(cate=conditional_effect),
-        config=config,
     )
 
 

@@ -78,11 +78,6 @@ def t_sf_two_sided(t: float, df: int) -> float:
     return betainc(df / 2.0, 0.5, x)
 
 
-def t_cdf(t: float, df: int) -> float:
-    half_tail = 0.5 * t_sf_two_sided(t, df)
-    return 1.0 - half_tail if t >= 0 else half_tail
-
-
 @dataclass(frozen=True)
 class PairedTTest:
     t_stat: float

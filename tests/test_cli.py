@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from policyshift import ingest_csv, read_truth_csv
-from policyshift.cli import main
+from policyshift import cli, ingest_csv, read_truth_csv
+from policyshift.cli import build_parser, main
 
 SMALL_CONFIG = {
     "sim": {"n_source": 48, "n_target": 96, "seed": 4},
@@ -21,10 +22,12 @@ def config_path(tmp_path):
     return str(path)
 
 
-def test_simulate_writes_data_and_truth(tmp_path, config_path):
+def test_simulate_writes_data_and_truth(tmp_path):
     data = tmp_path / "data.csv"
     truth = tmp_path / "truth.csv"
-    rc = main(["simulate", "--config", config_path, "--out-data", str(data), "--out-truth", str(truth), "--seed", "9"])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**SMALL_CONFIG, "sim": {**SMALL_CONFIG["sim"], "seed": 9}}), encoding="utf-8")
+    rc = main(["simulate", "--config", str(config_path), "--out-data", str(data), "--out-truth", str(truth)])
     assert rc == 0
     ds = ingest_csv(data)
     assert ds.n_source == 48 and ds.n_target == 96
@@ -47,10 +50,12 @@ def test_table_report_and_determinism(tmp_path, config_path):
     assert csv_path.exists()
 
 
-def test_table_welfare_scope_flag(tmp_path, config_path):
+def test_table_welfare_scope_key(tmp_path, config_path):
     out_all, out_tgt = tmp_path / "a.json", tmp_path / "t.json"
+    target_path = tmp_path / "target.json"
+    target_path.write_text(json.dumps({**SMALL_CONFIG, "welfare_scope": "target"}), encoding="utf-8")
     assert main(["table", "--config", config_path, "--reps", "2", "--out", str(out_all)]) == 0
-    assert main(["table", "--config", config_path, "--reps", "2", "--out", str(out_tgt), "--welfare-scope", "target"]) == 0
+    assert main(["table", "--config", str(target_path), "--reps", "2", "--out", str(out_tgt)]) == 0
     a = json.loads(out_all.read_text(encoding="utf-8"))
     t = json.loads(out_tgt.read_text(encoding="utf-8"))
     assert a["aggregates"]["se"]["welfare_change"]["mean"] != t["aggregates"]["se"]["welfare_change"]["mean"]
@@ -95,6 +100,21 @@ def test_learn_seeds_the_mini_batch_order_and_defaults_to_0(tmp_path, config_pat
         assert main(argv + ([] if seed is None else ["--seed", seed])) == 0
         policies[seed] = out.read_bytes()
     assert policies[None] == policies["0"] != policies["7"]
+
+
+def test_learn_refuses_a_negative_seed_before_any_work(tmp_path, config_path, capsys, monkeypatch):
+    data, out = tmp_path / "data.csv", tmp_path / "policy.json"
+    assert main(["simulate", "--config", config_path, "--out-data", str(data)]) == 0
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_nuisances was called")
+
+    monkeypatch.setattr(cli, "fit_nuisances", refuse)
+    assert main(["learn", "--data", str(data), "--config", config_path, "--seed", "-1", "--out-policy", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("theta", [[float("nan"), 1.0, 1.0, 1.0], [1.0, float("inf"), 1.0, 1.0], [[1.0], [0.0], [0.0], [0.0]]])
@@ -145,6 +165,7 @@ def test_misused_table_and_sweep_options_exit_2_and_write_nothing(tmp_path, conf
         ("learner", "standardize", False),
         ("learner", "seed", 12_345),
         ("sim", "n_rows", 10),
+        ("sim", "shared_noise", False),
     ],
 )
 def test_unknown_config_keys_exit_2_and_name_the_key(tmp_path, capsys, section, key, value):
@@ -206,6 +227,31 @@ def test_misconfigured_values_exit_2_and_name_the_key(tmp_path, capsys, payload,
     assert not (tmp_path / "r.json").exists()
 
 
+# Each subcommand's options, spelled out so that adding or dropping a flag is
+# a deliberate edit of this table. A config key has no flag that repeats it.
+CLI_OPTIONS = {
+    "simulate": ["--config", "--out-data", "--out-truth"],
+    "table": ["--config", "--methods", "--reps", "--workers", "--out", "--out-csv"],
+    "sweep": ["--kind", "--grid", "--config", "--methods", "--reps", "--workers", "--out-csv"],
+    "learn": ["--data", "--method", "--config", "--seed", "--out-policy"],
+    "estimate": ["--data", "--policy", "--method", "--estimand", "--config", "--out"],
+}
+
+
+def test_cli_surface_is_the_pinned_table():
+    parser = build_parser()
+    assert [o for a in parser._actions if not isinstance(a, argparse._SubParsersAction) for o in a.option_strings] == [
+        "-h",
+        "--help",
+    ]
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [o for a in sub._actions if not isinstance(a, argparse._HelpAction) for o in a.option_strings]
+        for name, sub in commands.items()
+    }
+    assert options == CLI_OPTIONS
+
+
 def test_help_documents_defaults(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
@@ -216,7 +262,7 @@ def test_help_documents_defaults(capsys):
 
 def test_console_script_is_installed(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "policyshift.cli", "simulate", "--out-data", str(tmp_path / "d.csv"), "--seed", "1",
+        [sys.executable, "-m", "policyshift.cli", "simulate", "--out-data", str(tmp_path / "d.csv"),
          "--config", str(tmp_path / "c.json")],
         capture_output=True,
         text=True,
@@ -225,7 +271,7 @@ def test_console_script_is_installed(tmp_path):
     assert "error:" in proc.stderr
     (tmp_path / "c.json").write_text(json.dumps(SMALL_CONFIG), encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-m", "policyshift.cli", "simulate", "--out-data", str(tmp_path / "d.csv"), "--seed", "1",
+        [sys.executable, "-m", "policyshift.cli", "simulate", "--out-data", str(tmp_path / "d.csv"),
          "--config", str(tmp_path / "c.json")],
         capture_output=True,
         text=True,

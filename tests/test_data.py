@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from policyshift import CombinedDataset, CsvSchema, generate, ingest_csv, validate, write_csv
+from policyshift import CombinedDataset, generate, ingest_csv, validate, write_csv
 from policyshift.simulate import SimConfig
 
 
@@ -86,12 +86,27 @@ def test_ingest_requires_literal_group(tmp_path):
         ingest_csv(path)
 
 
-def test_ingest_schema_selects_covariates(tmp_path):
+def test_ingest_reserves_g_a_y_and_reads_every_other_column_as_a_covariate_in_header_order(tmp_path):
     path = tmp_path / "d.csv"
-    path.write_text("junk,f1,g,a,y\n9,1.5,1,0,2.0\n8,2.5,0,,\n", encoding="utf-8")
-    ds = ingest_csv(path, CsvSchema(covariates=("f1",)))
-    assert ds.p == 1
-    assert ds.covariates[:, 0].tolist() == [1.5, 2.5]
+    path.write_text("g,x1,y,x2,a\n1,1.5,2.0,-0.1,0\n0,2.5,,0.30000000000000004,\n1,-7e-310,3.5,1e300,1\n", encoding="utf-8")
+    ds = ingest_csv(path)
+    assert ds.covariate_names == ("x1", "x2")
+    assert ds.covariates.tolist() == [[1.5, -0.1], [2.5, 0.30000000000000004], [-7e-310, 1e300]]
+    assert ds.group.tolist() == [1, 0, 1]
+    assert np.array_equal(ds.treatment, [0.0, np.nan, 1.0], equal_nan=True)
+    assert np.array_equal(ds.outcome, [2.0, np.nan, 3.5], equal_nan=True)
+
+    written = tmp_path / "w.csv"
+    write_csv(ds, written)
+    assert written.read_text(encoding="utf-8").splitlines()[0] == "x1,x2,g,a,y"
+    back = ingest_csv(written)
+    assert back.covariate_names == ds.covariate_names
+    for name in ("covariates", "group", "treatment", "outcome"):
+        assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()
+
+    path.write_text("x1,group,a,y\n1.0,1,1,2.5\n2.0,0,,\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="missing group column 'g'"):
+        ingest_csv(path)
 
 
 def test_ingest_rejects_duplicated_covariate_header(tmp_path):

@@ -85,7 +85,7 @@ def test_a_method_entry_keeps_the_summary_of_learn_policy_run_alone_on_its_repli
         sim = generate(replace(config.sim, seed=record["seed"]))
         nuisances = fit_nuisances(sim.dataset, config.nuisance)
         for method, entry in record["methods"].items():
-            assert set(entry) == {"metrics", "estimate", "theta", "best_epoch", "objective", "bias_diagnostic", "bound_term"}
+            assert set(entry) == {"metrics", "estimate", "theta", "best_epoch", "objective", "bias_diagnostic"}
             coeffs = reward_coefficients(sim.dataset, nuisances, method, "r")
             policy, trace = learn_policy(coeffs, sim.dataset.covariates, config.learner, seed=record["seed"])
             assert (entry["objective"], entry["best_epoch"]) == (trace.best_objective, trace.best_epoch)
@@ -102,7 +102,6 @@ OPTION_VALUES = {
     "sim.cov_target": ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 2.0)),
     "sim.beta_treatment": 0.5,
     "sim.noise_sd": 2.0,
-    "sim.shared_noise": False,
     "sim.seed": 1_000,
     "nuisance.outcome_map": "quadratic",
     "nuisance.propensity_map": "quadratic",

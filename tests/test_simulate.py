@@ -64,11 +64,9 @@ def test_noise_free_effect_matches_closed_form():
 
 
 def test_shared_noise_cancels_in_effect():
-    shared = generate(SimConfig(n_source=64, n_target=64, seed=6, shared_noise=True))
+    shared = generate(SimConfig(n_source=64, n_target=64, seed=6))
     v = shared.truth.values(shared.dataset.covariates)
     assert np.allclose(shared.potential.effect, v.mu1 - v.mu0, atol=1e-12)
-    independent = generate(SimConfig(n_source=64, n_target=64, seed=6, shared_noise=False))
-    assert not np.allclose(independent.potential.effect, v.mu1 - v.mu0, atol=1e-3)
 
 
 def test_generation_is_deterministic():
@@ -160,12 +158,10 @@ def test_non_finite_simulation_values_are_refused():
 
 
 def test_from_dict_takes_json_types_and_refuses_to_coerce():
-    config = ExperimentConfig.from_dict({"sim": {"n_source": 64, "n_target": 128.0, "seed": 3, "shared_noise": False}}).sim
-    assert (config.n_source, config.n_target, config.seed, config.shared_noise) == (64, 128, 3, False)
+    config = ExperimentConfig.from_dict({"sim": {"n_source": 64, "n_target": 128.0, "seed": 3}}).sim
+    assert (config.n_source, config.n_target, config.seed) == (64, 128, 3)
     assert isinstance(config.n_target, int)
     for key, value in (
-        ("shared_noise", "false"),
-        ("shared_noise", 0),
         ("n_source", 512.9),
         ("n_target", "2048"),
         ("seed", True),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from policyshift import betainc, paired_t_test, t_cdf, t_sf_two_sided
+from policyshift import betainc, paired_t_test, t_sf_two_sided
 
 
 def test_betainc_matches_scipy_to_1e10():
@@ -24,11 +24,6 @@ def test_t_tail_matches_scipy_to_1e10():
         t = rng.normal(scale=3.0)
         df = int(rng.integers(1, 250))
         assert t_sf_two_sided(t, df) == pytest.approx(2.0 * stats.t.sf(abs(t), df), abs=1e-10)
-
-
-def test_t_cdf_symmetry():
-    assert t_cdf(0.0, 5) == 0.5
-    assert t_cdf(1.3, 7) + t_cdf(-1.3, 7) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_paired_identical_series_degenerate():
