@@ -1,7 +1,7 @@
 """Policy evaluation and learning across a labeled source domain and a
 covariate-only target domain under covariate shift."""
 
-from .data import CombinedDataset, PotentialOutcomes, ingest_csv, require_valid, validate, write_csv
+from .data import CombinedDataset, ingest_csv, require_valid, validate, write_csv
 from .estimators import (
     BoundReport,
     RewardCoefficients,
@@ -33,15 +33,13 @@ from .nuisance import (
     fit_nuisances,
     fit_ridge,
 )
-from .policy import LearnerConfig, LinearPolicy, OraclePolicy, TrainingTrace, learn_policy
+from .policy import LearnerConfig, LinearPolicy, TrainingTrace, learn_policy
 from .simulate import (
     SimConfig,
     SimulatedData,
-    conditional_effect,
     feature_transform,
     generate,
     population_reward,
-    read_truth_csv,
     shift_sweep_config,
     true_nuisances,
     write_truth_csv,
@@ -63,9 +61,7 @@ __all__ = [
     "LogisticModel",
     "NuisanceConfig",
     "NuisanceSet",
-    "OraclePolicy",
     "PairedTTest",
-    "PotentialOutcomes",
     "RewardCoefficients",
     "RewardEstimate",
     "RidgeModel",
@@ -74,7 +70,6 @@ __all__ = [
     "TrainingTrace",
     "betainc",
     "bias_diagnostic",
-    "conditional_effect",
     "estimate",
     "evaluate_policy",
     "feature_transform",
@@ -87,7 +82,6 @@ __all__ = [
     "learn_policy",
     "paired_t_test",
     "population_reward",
-    "read_truth_csv",
     "require_valid",
     "reward_coefficients",
     "run_replication",

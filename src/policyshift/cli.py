@@ -128,9 +128,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    dataset = ingest_csv(args.data)
     payload = json.loads(Path(args.policy).read_text(encoding="utf-8"))
-    policy = LinearPolicy.from_dict(payload["policy"] if "policy" in payload else payload)
+    policy = LinearPolicy.from_dict(payload["policy"] if type(payload) is dict and "policy" in payload else payload)
+    dataset = ingest_csv(args.data)
     nuisances = fit_nuisances(dataset, config.nuisance)
     coeffs = reward_coefficients(dataset, nuisances, args.method, args.estimand)
     result = estimate_reward(coeffs, policy.decide(dataset.covariates))

@@ -85,26 +85,6 @@ class CombinedDataset:
         return self.n_source / self.n
 
 
-@dataclass(frozen=True)
-class PotentialOutcomes:
-    """Simulation-only potential outcome pair; never consumed by estimators."""
-
-    y1: np.ndarray
-    y0: np.ndarray
-
-    def __post_init__(self) -> None:
-        y1 = np.asarray(self.y1, dtype=float)
-        y0 = np.asarray(self.y0, dtype=float)
-        if y1.shape != y0.shape or y1.ndim != 1:
-            raise ValueError("y1 and y0 must be 1-d vectors of equal length")
-        object.__setattr__(self, "y1", _readonly(y1))
-        object.__setattr__(self, "y0", _readonly(y0))
-
-    @property
-    def effect(self) -> np.ndarray:
-        return self.y1 - self.y0
-
-
 def validate(dataset: CombinedDataset) -> list[str]:
     """Return a list of invariant violations; empty means well formed.
 
@@ -168,7 +148,8 @@ def ingest_csv(path: str | Path) -> CombinedDataset:
     Empty cells mean absent; the group column must hold literal 0 or 1.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    # "utf-8-sig" drops the byte-order mark that spreadsheet exports put before the header
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -180,6 +161,10 @@ def ingest_csv(path: str | Path) -> CombinedDataset:
         if GROUP not in header:
             raise ValueError(f"{path}: missing group column {GROUP!r}")
         cov_names = [c for c in header if c not in (GROUP, TREATMENT, OUTCOME)]
+        if not cov_names:
+            raise ValueError(
+                f"{path}: no covariate column; every column other than {GROUP!r}, {TREATMENT!r} and {OUTCOME!r} is a covariate"
+            )
         idx = {name: header.index(name) for name in header}
 
         rows_x: list[list[float]] = []

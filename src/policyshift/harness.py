@@ -24,7 +24,7 @@ import numpy as np
 from .estimators import RewardEstimate, bias_diagnostic, estimate, reward_coefficients
 from .estimators import generalization_bound  # noqa: F401 -- perfbench/tracer.py wraps harness.generalization_bound by name
 from .nuisance import FitError, NuisanceConfig, fit_nuisances
-from .policy import LearnerConfig, LinearPolicy, OraclePolicy, _ascend
+from .policy import LearnerConfig, LinearPolicy, _ascend
 from .policy import learn_policy  # noqa: F401 -- perfbench/tracer.py wraps harness.learn_policy by name
 from .simulate import SimConfig, SimulatedData, generate, shift_sweep_config
 from .stats import paired_t_test
@@ -69,27 +69,30 @@ class EvalMetrics:
         return {k: float(v) for k, v in asdict(self).items()}
 
 
-def evaluate_policy(policy: LinearPolicy | OraclePolicy, sim: SimulatedData, welfare_scope: str = "all") -> EvalMetrics:
-    """Score a policy against the oracle using the attached potential outcomes.
+def evaluate_policy(policy: LinearPolicy, sim: SimulatedData, welfare_scope: str = "all") -> EvalMetrics:
+    """Score a policy against the oracle using the simulated potential outcomes.
 
-    True reward and policy error average over target rows; the welfare change
-    sums the captured treatment effect over all rows by default
-    (``welfare_scope="target"`` restricts it to target rows).
+    ``policy`` may be any object with ``decide``. The oracle treats where the
+    true surfaces have ``mu1 >= mu0``. True reward and policy error average
+    over target rows; the welfare change sums the captured treatment effect
+    over all rows by default (``welfare_scope="target"`` restricts it to
+    target rows).
     """
     if welfare_scope not in WELFARE_SCOPES:
         raise ValueError(f"welfare_scope must be one of {WELFARE_SCOPES}")
-    dataset, potential = sim.dataset, sim.potential
+    dataset = sim.dataset
     tgt = dataset.target_mask
     decisions = policy.decide(dataset.covariates)
-    oracle_decisions = sim.oracle.decide(dataset.covariates)
+    v = sim.truth.values(dataset.covariates)
+    oracle_decisions = (v.mu1 - v.mu0 >= 0.0).astype(float)
 
-    y1_t, y0_t = potential.y1[tgt], potential.y0[tgt]
+    y1_t, y0_t = sim.y1[tgt], sim.y0[tgt]
     d_t, o_t = decisions[tgt], oracle_decisions[tgt]
     true_reward = float(np.mean(d_t * y1_t + (1.0 - d_t) * y0_t))
     oracle_reward = float(np.mean(o_t * y1_t + (1.0 - o_t) * y0_t))
     perr = float(np.mean((o_t - d_t) ** 2))
 
-    effect = potential.effect
+    effect = sim.y1 - sim.y0
     if welfare_scope == "target":
         welfare = float(np.sum(effect[tgt] * d_t))
     else:

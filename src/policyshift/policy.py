@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,23 +49,13 @@ class LinearPolicy:
     @classmethod
     def from_dict(cls, payload: dict) -> "LinearPolicy":
         """Load ``to_dict`` output; a ``temperature`` key of older files is ignored."""
+        missing = [k for k in ("theta", "feature_map", "p_in") if type(payload) is not dict or k not in payload]
+        if missing:
+            raise ValueError(f"a policy must be a JSON object with keys theta, feature_map and p_in; missing {missing}")
         return cls(
             theta=np.asarray(payload["theta"], dtype=float),
             fmap=FeatureMap(payload["feature_map"], int(payload["p_in"])),
         )
-
-
-@dataclass(frozen=True)
-class OraclePolicy:
-    """Treats exactly when the conditional effect is nonnegative (ties treat)."""
-
-    cate: Callable[[np.ndarray], np.ndarray]
-
-    def decide(self, x: np.ndarray) -> np.ndarray:
-        effect = np.asarray(self.cate(np.atleast_2d(x)), dtype=float)
-        if not np.all(np.isfinite(effect)):
-            raise ValueError("conditional effect must be finite")
-        return (effect >= 0.0).astype(float)
 
 
 @dataclass(frozen=True)
@@ -147,9 +137,11 @@ def _ascend(
         F = fmap.expand(X)
         shift, scale = np.zeros(k), np.ones(k)
         if k > 1:
-            shift[1:] = F[:, 1:].mean(axis=0)
+            # a constant column is shifted by its value, so it stands at exactly 0 however its mean rounds
+            constant = (F[:, 1:] == F[:1, 1:]).all(axis=0)
+            shift[1:] = np.where(constant, F[0, 1:], F[:, 1:].mean(axis=0))
             sd = F[:, 1:].std(axis=0)
-            scale[1:] = np.where(sd > 0, sd, 1.0)
+            scale[1:] = np.where(~constant & (sd > 0), sd, 1.0)
         standardized.append(((F - shift) / scale, shift, scale))
     Fs, shift, scale = (np.stack(parts) for parts in zip(*standardized))
     del standardized

@@ -4,8 +4,9 @@ Covariates are trivariate Gaussians with different means and covariances per
 domain; potential outcomes are nonlinear surfaces of a power-sum transform of
 the covariates plus shared Gaussian noise. The generator also returns the
 exact nuisance functions (outcome surfaces, treatment probability and the
-Gaussian density-ratio sampling score) and the oracle treatment rule, which
-supports bias, coverage and robustness studies against known truth.
+Gaussian density-ratio sampling score), whose outcome surfaces also give the
+oracle treatment rule. This supports bias, coverage and robustness studies
+against known truth.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CombinedDataset, PotentialOutcomes, _readonly
+from .data import CombinedDataset, _readonly
 from .features import sigmoid
 from .nuisance import NuisanceSet
-from .policy import LinearPolicy, OraclePolicy
+from .policy import LinearPolicy
 
 TRUTH_CLIP = 1e-12  # known scores satisfy overlap; keep clipping inert
 SIDECAR_COLUMNS = ("y1", "y0", "mu0_true", "mu1_true", "e1_true", "s_true")
@@ -48,10 +49,6 @@ def outcome_surface_treated(X: np.ndarray) -> np.ndarray:
 def outcome_surface_control(X: np.ndarray) -> np.ndarray:
     """Noise-free mean of the control potential outcome."""
     return _control_from_transform(feature_transform(np.atleast_2d(X)))
-
-
-def conditional_effect(X: np.ndarray) -> np.ndarray:
-    return outcome_surface_treated(X) - outcome_surface_control(X)
 
 
 def _default_cov(scale_exponent: int) -> tuple[tuple[float, ...], ...]:
@@ -104,12 +101,17 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimulatedData:
-    """Generated dataset bundled with its evaluation-only ground truth."""
+    """Generated dataset bundled with its evaluation-only ground truth.
+
+    ``y1`` and ``y0`` are the read-only potential outcomes of every row (both
+    domains); ``truth`` is the exact nuisance set bound to the dataset's
+    covariates, and the oracle treats where its ``mu1 >= mu0``.
+    """
 
     dataset: CombinedDataset
-    potential: PotentialOutcomes
+    y1: np.ndarray
+    y0: np.ndarray
     truth: NuisanceSet
-    oracle: OraclePolicy
 
 
 def _gaussian_logpdf(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -166,13 +168,13 @@ def generate(config: SimConfig | None = None) -> SimulatedData:
     x_target = rng.standard_normal((n0, 3)) @ chol_t.T + np.asarray(config.mu_target)
     X = np.vstack([x_source, x_target])
 
-    truth = true_nuisances(config)
-    treat_prob = np.asarray(truth.e1(x_source))
+    truth = true_nuisances(config).bind(X)
+    treat_prob = np.asarray(truth.e1(x_source))  # unclipped
     treatment_src = (rng.random(n1) < treat_prob).astype(float)
 
+    v = truth.values(X)
     noise = rng.standard_normal(n) * config.noise_sd  # shared by both arms
-    y1 = outcome_surface_treated(X) + noise
-    y0 = outcome_surface_control(X) + noise
+    y1, y0 = _readonly(v.mu1 + noise), _readonly(v.mu0 + noise)
 
     treatment = np.full(n, np.nan)
     outcome = np.full(n, np.nan)
@@ -185,12 +187,7 @@ def generate(config: SimConfig | None = None) -> SimulatedData:
         treatment=treatment,
         outcome=outcome,
     )
-    return SimulatedData(
-        dataset=dataset,
-        potential=PotentialOutcomes(y1=y1, y0=y0),
-        truth=truth.bind(dataset.covariates),
-        oracle=OraclePolicy(cate=conditional_effect),
-    )
+    return SimulatedData(dataset=dataset, y1=y1, y0=y0, truth=truth)
 
 
 SHIFT_DIRECTION = (-1.0, 1.0, -1.0)  # displacement pattern matching the default target mean
@@ -263,7 +260,7 @@ def _population_draws(
 
 def population_reward(
     config: SimConfig,
-    policy: LinearPolicy | OraclePolicy,
+    policy: LinearPolicy,
     scope: str = "target",
     n_draws: int = 200_000,
     seed: int = 20_000_000,
@@ -273,8 +270,9 @@ def population_reward(
     ``scope`` picks the target domain or the q-weighted mixture of both. Uses
     the noise-free outcome surfaces, so only covariate sampling error remains.
     The draws and surfaces of the last call are reused, bit for bit, when the
-    next call samples the same points; the covariates passed to
-    ``policy.decide`` are read-only.
+    next call samples the same points. ``policy`` may be any object whose
+    ``decide`` maps covariate rows to 0/1 decisions; the covariates passed to
+    it are read-only.
     """
     if scope not in ("target", "entire"):
         raise ValueError("scope must be 'target' or 'entire'")
@@ -294,8 +292,8 @@ def write_truth_csv(sim: SimulatedData, path: str | Path) -> None:
     X = sim.dataset.covariates
     v = sim.truth.values(X)
     columns = {
-        "y1": sim.potential.y1,
-        "y0": sim.potential.y0,
+        "y1": sim.y1,
+        "y0": sim.y0,
         "mu0_true": v.mu0,
         "mu1_true": v.mu1,
         "e1_true": v.e1,
@@ -307,13 +305,3 @@ def write_truth_csv(sim: SimulatedData, path: str | Path) -> None:
         for i in range(sim.dataset.n):
             writer.writerow([repr(float(columns[c][i])) for c in SIDECAR_COLUMNS])
 
-
-def read_truth_csv(path: str | Path) -> dict[str, np.ndarray]:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != SIDECAR_COLUMNS:
-            raise ValueError(f"unexpected sidecar header {header}")
-        rows = [[float(cell) for cell in row] for row in reader]
-    arr = np.asarray(rows, dtype=float)
-    return {name: arr[:, j] for j, name in enumerate(SIDECAR_COLUMNS)}

@@ -6,12 +6,14 @@ They take raw nuisance value arrays, not fitted models. The learner reference
 runs one coefficient set step by step, with the sign-masked sigmoid. The
 population-reward reference draws its points anew on every call, builds
 them and the surfaces as whole arrays, and forms the reward with one
-temporary per operation; the expansion reference stacks its columns.
+temporary per operation; the expansion reference stacks its columns. The
+surface oracle decides straight from the generator's outcome surfaces.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,6 +195,17 @@ def population_draws_reference(config, n_src, n_draws, seed):
     parts.append(rng.standard_normal((n_draws - n_src, 3)) @ chol.T + np.asarray(config.mu_target))
     X = np.vstack(parts)
     return X, outcome_surface_treated(X), outcome_surface_control(X)
+
+
+@dataclass(frozen=True)
+class SurfaceOracle:
+    """Treats where ``sign * (mu1 - mu0) >= 0`` of the generator's true surfaces (ties treat)."""
+
+    sign: float = 1.0
+
+    def decide(self, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(x)
+        return (self.sign * (outcome_surface_treated(x) - outcome_surface_control(x)) >= 0.0).astype(float)
 
 
 def reward_reference(decisions, mu1, mu0) -> float:

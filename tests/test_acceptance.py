@@ -32,7 +32,7 @@ from policyshift import (
 )
 from policyshift.estimators import Z_95
 from policyshift.nuisance import fit_nuisances
-from policyshift.simulate import TRUTH_CLIP, conditional_effect, feature_transform
+from policyshift.simulate import TRUTH_CLIP, feature_transform
 
 from reference import (
     direct_r_reference,
@@ -354,7 +354,8 @@ def test_criterion_8_learner_recovers_realizable_oracle():
     ds = sim.dataset
     coeffs = reward_coefficients(ds, sim.truth, "se", "r")
     tgt = ds.target_mask
-    oracle_decisions = sim.oracle.decide(ds.covariates[tgt])
+    v = sim.truth.values(ds.covariates)
+    oracle_decisions = (v.mu1 - v.mu0 >= 0.0)[tgt]
 
     # (a) linear policy on the raw covariates: the oracle boundary is not in
     # this class, so the agreement is reported rather than presumed

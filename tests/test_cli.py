@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from policyshift import cli, ingest_csv, read_truth_csv
+from policyshift import cli, ingest_csv
 from policyshift.cli import build_parser, main
 
 SMALL_CONFIG = {
@@ -31,8 +32,9 @@ def test_simulate_writes_data_and_truth(tmp_path):
     assert rc == 0
     ds = ingest_csv(data)
     assert ds.n_source == 48 and ds.n_target == 96
-    sidecar = read_truth_csv(truth)
-    assert len(sidecar["y1"]) == ds.n
+    with truth.open(newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header[:2] == ["y1", "y0"] and len(rows) == ds.n
 
 
 def test_table_report_and_determinism(tmp_path, config_path):
@@ -125,6 +127,52 @@ def test_estimate_refuses_a_policy_whose_theta_is_not_a_finite_vector(tmp_path, 
     assert main(["estimate", "--data", str(data), "--policy", str(policy), "--out", str(out)]) == 2
     assert "theta must be a finite 1-D vector" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "body, named",
+    [
+        ([1, 2, 3], "missing ['theta', 'feature_map', 'p_in']"),
+        ({"policy": 5}, "missing ['theta', 'feature_map', 'p_in']"),
+        (None, "missing ['theta', 'feature_map', 'p_in']"),
+        ({"theta": [1, 2, 3, 4], "feature_map": "raw"}, "missing ['p_in']"),
+    ],
+    ids=["list", "number-under-policy", "null", "no-p_in"],
+)
+def test_estimate_refuses_a_malformed_policy_file_before_reading_the_data(tmp_path, capsys, monkeypatch, body, named):
+    policy, out = tmp_path / "policy.json", tmp_path / "est.json"
+    policy.write_text(json.dumps(body), encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the data was read")
+
+    monkeypatch.setattr(cli, "ingest_csv", refuse)
+    assert main(["estimate", "--data", str(tmp_path / "data.csv"), "--policy", str(policy), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a policy must be a JSON object with keys theta, feature_map and p_in") and named in err
+    assert not out.exists()
+
+
+def test_learn_refuses_a_csv_without_a_covariate_column(tmp_path, capsys):
+    data, out = tmp_path / "data.csv", tmp_path / "policy.json"
+    data.write_text("g,a,y\n1,1,2.5\n1,0,1.5\n0,,\n", encoding="utf-8")
+    assert main(["learn", "--data", str(data), "--out-policy", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: no covariate column") and not out.exists()
+
+
+def test_learn_and_estimate_accept_a_constant_covariate_column(tmp_path, config_path):
+    simulated, data = tmp_path / "simulated.csv", tmp_path / "data.csv"
+    policy, out = tmp_path / "policy.json", tmp_path / "est.json"
+    assert main(["simulate", "--config", config_path, "--out-data", str(simulated)]) == 0
+    with simulated.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with data.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["c", *rows[0]], *(["0.1", *row] for row in rows[1:])])
+    assert main(["learn", "--data", str(data), "--config", config_path, "--out-policy", str(policy)]) == 0
+    theta = json.loads(policy.read_text(encoding="utf-8"))["policy"]["theta"]
+    assert len(theta) == 5 and theta[1] == 0.0  # after the intercept
+    assert main(["estimate", "--data", str(data), "--policy", str(policy), "--config", config_path, "--out", str(out)]) == 0
 
 
 def test_errors_exit_nonzero(tmp_path, config_path, capsys):

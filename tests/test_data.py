@@ -109,6 +109,27 @@ def test_ingest_reserves_g_a_y_and_reads_every_other_column_as_a_covariate_in_he
         ingest_csv(path)
 
 
+@pytest.mark.parametrize("header, rows", [("g,x1,a,y", ["1,1.5,1,2.0", "0,-2.5,,"]), ("x1,g,a,y", ["1.5,1,1,2.0", "-2.5,0,,"])])
+def test_ingest_drops_a_utf8_byte_order_mark(tmp_path, header, rows):
+    # spreadsheet "CSV UTF-8" exports start with the mark, which would otherwise join the first column name
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    text = "\n".join([header, *rows]) + "\n"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want, got = ingest_csv(plain), ingest_csv(marked)
+    assert got.covariate_names == want.covariate_names == ("x1",)
+    for name in ("covariates", "group", "treatment", "outcome"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_ingest_refuses_a_file_without_a_covariate_column(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("g,a,y\n1,1,2.5\n0,,\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="no covariate column; every column other than 'g', 'a' and 'y' is a covariate") as info:
+        ingest_csv(path)
+    assert str(path) in str(info.value)
+
+
 def test_ingest_rejects_duplicated_covariate_header(tmp_path):
     # the second x1 column would otherwise be read as a copy of the first
     path = tmp_path / "d.csv"

@@ -119,7 +119,7 @@ def test_ipw_with_true_scores_recovers_treated_target_mean():
     s_vals = sim.truth.values(sim.dataset.covariates).s
     assert np.allclose(s_vals, config.source_fraction, atol=1e-12)
     est = estimate(reward_coefficients(sim.dataset, sim.truth, "ipw", "r"), np.ones(sim.dataset.n))
-    y1_target = sim.potential.y1[sim.dataset.target_mask]
+    y1_target = sim.y1[sim.dataset.target_mask]
     assert abs(est.value - y1_target.mean()) < 3.0 * est.std_error + 3.0 * y1_target.std(ddof=1) / np.sqrt(
         len(y1_target)
     )

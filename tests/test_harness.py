@@ -8,9 +8,7 @@ from policyshift import (
     ExperimentConfig,
     LearnerConfig,
     NuisanceConfig,
-    OraclePolicy,
     SimConfig,
-    conditional_effect,
     evaluate_policy,
     fit_nuisances,
     generate,
@@ -28,6 +26,8 @@ from policyshift.harness import METRIC_NAMES
 from policyshift.nuisance import FitError
 from policyshift.policy import LinearPolicy
 
+from reference import SurfaceOracle
+
 
 def small_config(seed=0, **sim_kwargs):
     sim = SimConfig(n_source=48, n_target=96, seed=seed, **sim_kwargs)
@@ -39,22 +39,21 @@ def test_null_policy_metrics():
     never = LinearPolicy(theta=np.array([-1.0, 0.0, 0.0, 0.0]), fmap=FeatureMap("raw", 3))
     metrics = evaluate_policy(never, sim)
     tgt = sim.dataset.target_mask
-    assert metrics.true_reward == pytest.approx(sim.potential.y0[tgt].mean(), rel=1e-12)
+    assert metrics.true_reward == pytest.approx(sim.y0[tgt].mean(), rel=1e-12)
     assert metrics.welfare_change == 0.0
     assert evaluate_policy(never, sim, welfare_scope="target").welfare_change == 0.0
 
 
 def test_oracle_policy_has_zero_regret():
     sim = generate(SimConfig(n_source=32, n_target=64, seed=2))
-    metrics = evaluate_policy(sim.oracle, sim)
+    metrics = evaluate_policy(SurfaceOracle(), sim)
     assert metrics.regret == 0.0
     assert metrics.policy_error == 0.0
 
 
 def test_the_complement_of_the_oracle_disagrees_on_every_target_row():
     sim = generate(SimConfig(n_source=32, n_target=64, seed=2))
-    complement = OraclePolicy(cate=lambda x: -conditional_effect(x))
-    assert evaluate_policy(complement, sim).policy_error == 1.0
+    assert evaluate_policy(SurfaceOracle(sign=-1.0), sim).policy_error == 1.0
 
 
 def test_welfare_scope_changes_the_sum():
@@ -62,8 +61,9 @@ def test_welfare_scope_changes_the_sum():
     always = LinearPolicy(theta=np.array([1.0, 0.0, 0.0, 0.0]), fmap=FeatureMap("raw", 3))
     all_rows = evaluate_policy(always, sim, welfare_scope="all").welfare_change
     target_rows = evaluate_policy(always, sim, welfare_scope="target").welfare_change
-    assert all_rows == pytest.approx(float(sim.potential.effect.sum()), rel=1e-12)
-    assert target_rows == pytest.approx(float(sim.potential.effect[sim.dataset.target_mask].sum()), rel=1e-12)
+    effect = sim.y1 - sim.y0
+    assert all_rows == pytest.approx(float(effect.sum()), rel=1e-12)
+    assert target_rows == pytest.approx(float(effect[sim.dataset.target_mask].sum()), rel=1e-12)
     assert all_rows != target_rows
     with pytest.raises(ValueError, match="welfare_scope"):
         evaluate_policy(always, sim, welfare_scope="source")

@@ -11,7 +11,6 @@ from policyshift import (
     LearnerConfig,
     LinearPolicy,
     NuisanceConfig,
-    OraclePolicy,
     RewardCoefficients,
     SimConfig,
     fit_nuisances,
@@ -21,7 +20,7 @@ from policyshift import (
     true_nuisances,
 )
 from policyshift.policy import _ascend
-from policyshift.simulate import conditional_effect, feature_transform
+from policyshift.simulate import feature_transform
 from reference import stepwise_learner
 
 
@@ -31,30 +30,14 @@ def coeffs_from(a, b=None, estimand="r"):
     return RewardCoefficients(a=a, b=b, center_weight=np.ones_like(a), kind="se", estimand=estimand)
 
 
-def test_oracle_decision_rule():
-    # ties treat: a zero effect counts as a reason to treat
-    oracle = OraclePolicy(cate=lambda x: x[:, 0])
-    assert oracle.decide(np.array([[0.0], [-0.1], [2.5]])).tolist() == [1.0, 0.0, 1.0]
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_oracle_rejects_a_non_finite_effect(bad):
-    oracle = OraclePolicy(cate=lambda x: np.where(x[:, 0] > 1.0, bad, x[:, 0]))
-    assert oracle.decide(np.array([[0.5], [-0.5]])).tolist() == [1.0, 0.0]
-    with pytest.raises(ValueError, match="conditional effect must be finite"):
-        oracle.decide(np.array([[0.5], [2.0]]))
-
-
 def test_oracle_decision_from_generator_truth():
     x = np.array([10.0, 3.0, 7.0])
     t = feature_transform(x)
     by_hand = 5.0 + 0.4 * t[0] * t[1] + 0.7 * t[2] - 0.1 * t[0] - 0.5 * t[1] * t[2]
-    assert by_hand == pytest.approx(conditional_effect(x[None, :])[0], rel=1e-12)
     truth = true_nuisances(SimConfig())
     tau = float(truth.mu1(x[None, :])[0] - truth.mu0(x[None, :])[0])
     assert tau == pytest.approx(by_hand, rel=1e-12)
-    oracle = OraclePolicy(cate=conditional_effect)
-    assert oracle.decide(x)[0] == (1.0 if by_hand >= 0 else 0.0) == 1.0
+    assert tau >= 0.0  # the oracle treats at the source mean
 
 
 def test_positive_gains_learn_to_treat_everyone():
@@ -344,3 +327,15 @@ def test_zero_epochs_return_the_indifferent_policy():
     x = np.random.default_rng(6).normal(size=(20, 2))
     policy, trace = learn_policy(coeffs_from(np.ones(20)), x, LearnerConfig(max_epochs=0, batch_size=5))
     assert np.array_equal(policy.theta, np.zeros(3)) and len(trace.objectives) == 1 and trace.best_epoch == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("value", [1.0, 0.1, 3.7])
+def test_a_constant_covariate_column_keeps_a_zero_coefficient(seed, value):
+    # 0.1 and 3.7 repeated have a mean and spread that round away from the value and 0
+    sim = generate(SimConfig(n_source=128, n_target=256, seed=seed))
+    coeffs = reward_coefficients(sim.dataset, fit_nuisances(sim.dataset), "se", "r")
+    x = np.column_stack([sim.dataset.covariates, np.full(sim.dataset.n, value)])
+    policy, _ = learn_policy(coeffs, x, LearnerConfig(max_epochs=50), seed=seed)
+    assert policy.theta[-1] == 0.0
+    assert np.isfinite(policy.theta).all() and np.abs(policy.theta).max() < 1e6

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 from dataclasses import replace
 
@@ -10,16 +11,15 @@ from policyshift import (
     feature_transform,
     generate,
     population_reward,
-    read_truth_csv,
     shift_sweep_config,
     true_nuisances,
     write_truth_csv,
 )
 from policyshift import simulate
-from policyshift.policy import LinearPolicy, OraclePolicy
+from policyshift.policy import LinearPolicy
 from policyshift.features import FeatureMap
 
-from reference import population_draws_reference, population_reward_reference, reward_reference
+from reference import SurfaceOracle, population_draws_reference, population_reward_reference, reward_reference
 
 
 def test_feature_transform_fixed_points():
@@ -39,7 +39,7 @@ def test_observed_outcome_consistency_is_exact():
     sim = generate(SimConfig(n_source=128, n_target=32, seed=2))
     src = sim.dataset.source_mask
     a = sim.dataset.treatment[src]
-    composed = a * sim.potential.y1[src] + (1 - a) * sim.potential.y0[src]
+    composed = a * sim.y1[src] + (1 - a) * sim.y0[src]
     assert np.array_equal(sim.dataset.outcome[src], composed)
 
 
@@ -58,7 +58,7 @@ def test_treatment_probability_declines_in_beta():
 
 def test_noise_free_effect_matches_closed_form():
     sim = generate(SimConfig(n_source=64, n_target=64, seed=5, noise_sd=0.0))
-    tau_drawn = sim.potential.effect
+    tau_drawn = sim.y1 - sim.y0
     v = sim.truth.values(sim.dataset.covariates)
     assert np.allclose(tau_drawn, v.mu1 - v.mu0, atol=1e-12)
 
@@ -66,7 +66,7 @@ def test_noise_free_effect_matches_closed_form():
 def test_shared_noise_cancels_in_effect():
     shared = generate(SimConfig(n_source=64, n_target=64, seed=6))
     v = shared.truth.values(shared.dataset.covariates)
-    assert np.allclose(shared.potential.effect, v.mu1 - v.mu0, atol=1e-12)
+    assert np.allclose(shared.y1 - shared.y0, v.mu1 - v.mu0, atol=1e-12)
 
 
 def test_generation_is_deterministic():
@@ -74,7 +74,7 @@ def test_generation_is_deterministic():
     b = generate(SimConfig(seed=7, n_source=96, n_target=96))
     assert np.array_equal(a.dataset.covariates, b.dataset.covariates)
     assert np.array_equal(a.dataset.outcome, b.dataset.outcome, equal_nan=True)
-    assert np.array_equal(a.potential.y1, b.potential.y1)
+    assert np.array_equal(a.y1, b.y1)
     c = generate(SimConfig(seed=8, n_source=96, n_target=96))
     assert not np.array_equal(a.dataset.covariates, c.dataset.covariates)
 
@@ -182,7 +182,7 @@ def test_population_reward_scopes():
 
 
 RAW_POLICY = LinearPolicy(theta=np.array([0.3, -0.1, 0.2, -0.05]), fmap=FeatureMap("raw", 3))
-ORACLE = OraclePolicy(cate=simulate.conditional_effect)
+ORACLE = SurfaceOracle()
 
 
 def test_population_reward_needs_at_least_one_draw():
@@ -306,9 +306,12 @@ def test_truth_sidecar_round_trip(tmp_path):
     sim = generate(SimConfig(n_source=16, n_target=16, seed=12))
     path = tmp_path / "truth.csv"
     write_truth_csv(sim, path)
-    back = read_truth_csv(path)
-    assert np.array_equal(back["y1"], sim.potential.y1)
-    assert np.array_equal(back["y0"], sim.potential.y0)
+    with path.open(newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == simulate.SIDECAR_COLUMNS
+    back = dict(zip(header, np.array(rows, dtype=float).T))
+    assert np.array_equal(back["y1"], sim.y1)
+    assert np.array_equal(back["y0"], sim.y0)
     v = sim.truth.values(sim.dataset.covariates)
     assert np.array_equal(back["s_true"], v.s)
     assert np.array_equal(back["mu1_true"], v.mu1)
