@@ -4,11 +4,14 @@ A combined dataset stacks rows from two domains. Source rows (group 1) carry
 covariates, a binary treatment and a real outcome; target rows (group 0) carry
 covariates only. Treatment and outcome are stored as float vectors with NaN
 marking absent cells, so a single rectangular layout serves both domains.
+``json_option`` checks the type of every value read from a JSON config or
+policy file.
 """
 
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +22,31 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"}
+
+
+def json_option(section: str, key: str, value, default):
+    """A JSON config value of the type of ``default``, refusing to coerce any other type.
+
+    An integral float counts as an integer (``2048.0``); a bool is never a
+    number, and the NaN and Infinity that Python's JSON reader accepts are not
+    numbers either, nor is an integer beyond the float range. A tuple default
+    takes a list of its first entry's type.
+    """
+    kind = type(default)
+    if kind is tuple:
+        return tuple(json_option(section, key, v, default[0]) for v in json_option(section, key, value, []))
+    if kind is int:
+        ok = type(value) is int or (type(value) is float and value.is_integer())
+    elif kind is float:
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise ValueError(f"{section} option {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import json_option
 from .estimators import RewardEstimate, bias_diagnostic, estimate, reward_coefficients
 from .estimators import generalization_bound  # noqa: F401 -- perfbench/tracer.py wraps harness.generalization_bound by name
 from .nuisance import FitError, NuisanceConfig, fit_nuisances
@@ -32,28 +33,6 @@ from .stats import paired_t_test
 DEFAULT_METHODS = ("direct", "ipw", "se")
 METRIC_NAMES = ("true_reward", "regret", "policy_error", "welfare_change")
 WELFARE_SCOPES = ("all", "target")
-_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"}
-
-
-def json_option(section: str, key: str, value, default):
-    """A JSON config value of the type of ``default``, refusing to coerce any other type.
-
-    An integral float counts as an integer (``2048.0``); a bool is never a
-    number, and the NaN and Infinity that Python's JSON reader accepts are not
-    numbers either. A tuple default takes a list of its first entry's type.
-    """
-    kind = type(default)
-    if kind is tuple:
-        return tuple(json_option(section, key, v, default[0]) for v in json_option(section, key, value, []))
-    if kind is int:
-        ok = type(value) is int or (type(value) is float and value.is_integer())
-    elif kind is float:
-        ok = type(value) is int or (type(value) is float and np.isfinite(value))
-    else:
-        ok = type(value) is kind
-    if not ok:
-        raise ValueError(f"{section} option {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return kind(value)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,13 @@ ascent with step size eta / T**2, whose coefficients are the former's over T.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .data import json_option
 from .estimators import RewardCoefficients
 from .features import FEATURE_KINDS, FeatureMap, sigmoid
 
@@ -48,13 +50,24 @@ class LinearPolicy:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LinearPolicy":
-        """Load ``to_dict`` output; a ``temperature`` key of older files is ignored."""
+        """Load ``to_dict`` output; a ``temperature`` key of older files is ignored.
+
+        The JSON types are checked as ``json_option`` checks a config: theta
+        is a list of numbers, feature_map a string and p_in an integer.
+        """
         missing = [k for k in ("theta", "feature_map", "p_in") if type(payload) is not dict or k not in payload]
         if missing:
             raise ValueError(f"a policy must be a JSON object with keys theta, feature_map and p_in; missing {missing}")
+        theta = payload["theta"]
+        # a bool is never a number; NaN, Infinity and an integer beyond the float range are not finite
+        if type(theta) is not list or not all(type(t) in (int, float) and abs(t) <= sys.float_info.max for t in theta):
+            raise ValueError(f"policy theta must be a finite 1-D vector of numbers, got {theta!r}")
         return cls(
-            theta=np.asarray(payload["theta"], dtype=float),
-            fmap=FeatureMap(payload["feature_map"], int(payload["p_in"])),
+            theta=np.array(theta, dtype=float),
+            fmap=FeatureMap(
+                json_option("policy", "feature_map", payload["feature_map"], ""),
+                json_option("policy", "p_in", payload["p_in"], 0),
+            ),
         )
 
 
@@ -155,25 +168,34 @@ def _ascend(
     entries: list[list] = [[None] * len(coeffs_seq) for coeffs_seq, _, _ in groups]
     rngs = [np.random.default_rng(seed) for _, _, seed in groups]
     theta = np.zeros((R, m, k))
+    theta_col = theta[..., None]
+    # every array and view the loop uses is made once: at 128-row batches the
+    # Python work around each call costs as much as its arithmetic, so each
+    # call passes its ``out``, and the buffers are rewritten in place, which
+    # keeps their views valid
+    rows, ramp = np.empty((R, n), dtype=np.intp), np.arange(n)
     row0 = (np.arange(R) * n)[:, None]  # flat offset of each group's first row
-    # every array the loop writes is allocated once: fresh temporaries of this
-    # size cost more than the arithmetic, so each call passes its ``out``
     F_epoch, At_epoch = np.empty((R, n, k)), np.empty((R, n, m))
     A_epoch = At_epoch.transpose(0, 2, 1)
     grad = np.empty((R, m, 1, k))
-    batches = [(start, min(start + config.batch_size, n)) for start in range(0, n, config.batch_size)]
-    scratch = {width: (np.empty((R, m, width)), np.empty((R, m, width))) for width in {e - s for s, e in batches}}
-    scratch[n] = np.empty((R, m, n)), np.empty((R, m, n))
-
-    def smoothed(F: np.ndarray) -> np.ndarray:
-        """sigmoid(F . theta) of every set, in the scratch of F's row count."""
-        S, W = scratch[F.shape[2]]
-        z = np.matmul(F, theta[..., None], out=W[..., None])[..., 0]
-        return sigmoid(z, out=S, work=W)
+    gb = grad[..., 0, :]
+    widths = {min(config.batch_size, n - start) for start in range(0, n, config.batch_size)}
+    scratch = {width: (np.empty((R, m, width)), np.empty((R, m, width))) for width in widths}
+    # per batch: its features and gains, sigmoid(F . theta) and the work buffer
+    # holding the score, with the views the products write and read, and its width
+    plan = []
+    for start in range(0, n, config.batch_size):
+        end = min(start + config.batch_size, n)
+        S, W = scratch[end - start]
+        plan.append((F_epoch[:, None, start:end], A_epoch[..., start:end], S, W, W[..., None], S[..., None, :], end - start))
+    F_all, S_all, W_all = Fs[:, None], np.empty((R, m, n)), np.empty((R, m, n))
+    W_all_col, step = W_all[..., None], config.step_size
 
     def objectives() -> np.ndarray:
-        S = smoothed(Fs[:, None])
-        return np.add(np.multiply(S, A, out=S), B, out=S).mean(axis=-1)
+        """Full-data smoothed objective mean(sigmoid(F . theta) * a + b) of every set."""
+        np.matmul(F_all, theta_col, out=W_all_col)
+        sigmoid(W_all, out=S_all, work=W_all)
+        return np.add(np.multiply(S_all, A, out=S_all), B, out=S_all).mean(axis=-1)
 
     history = [objectives()]
     best_theta, best_obj, best_epoch = theta.copy(), history[0].copy(), np.zeros((R, m), dtype=int)
@@ -181,19 +203,22 @@ def _ascend(
     for epoch in range(config.max_epochs):
         if not live.any():
             break
-        order = np.stack([rng.permutation(n) for rng in rngs])
+        # Generator.permutation(n) is arange(n) shuffled, so this draws the same order in place
+        rows[:] = ramp
+        for r, rng in enumerate(rngs):
+            rng.shuffle(rows[r])
+        rows += row0
         # take on flat rows gathers the bytes of fancy indexing several times faster; the
         # rows are in range, and mode "clip" writes into ``out`` without a buffer of its size
-        rows = order + row0
         Fs.reshape(R * n, k).take(rows, axis=0, out=F_epoch, mode="clip")
         At.reshape(R * n, m).take(rows, axis=0, out=At_epoch, mode="clip")
-        for start, end in batches:
-            Fb = F_epoch[:, None, start:end]
-            sz = smoothed(Fb)
-            one_minus_sz = np.subtract(1.0, sz, out=scratch[end - start][1])
-            w = np.multiply(np.multiply(A_epoch[..., start:end], sz, out=sz), one_minus_sz, out=sz)
-            gb = np.matmul(w[..., None, :], Fb, out=grad)[..., 0, :]
-            np.add(theta, np.multiply(config.step_size, np.divide(gb, end - start, out=gb), out=gb), out=theta)
+        for Fb, Ab, S, W, W_col, S_row, width in plan:
+            np.matmul(Fb, theta_col, out=W_col)
+            sigmoid(W, out=S, work=W)
+            np.subtract(1.0, S, out=W)
+            np.multiply(np.multiply(Ab, S, out=S), W, out=S)
+            np.matmul(S_row, Fb, out=grad)
+            np.add(theta, np.multiply(step, np.divide(gb, width, out=gb), out=gb), out=theta)
         # a non-finite gradient leaves theta non-finite for good, so once per epoch suffices
         dead = ~np.isfinite(theta).all(axis=-1)
         if dead.any():

@@ -208,7 +208,8 @@ def shift_sweep_config(base: SimConfig, chebyshev_distance: float) -> SimConfig:
 
 # The last draws of population_reward with both surfaces there: (key, (X, mu1, mu0)) or None.
 _population_cache: tuple[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
-# Rows per block when the surfaces are evaluated at the draws (0.4 MB of transformed covariates).
+# Rows per block when the surfaces and a policy's decisions are evaluated at the draws
+# (0.4 MB of transformed covariates, 1.3 MB of quadratic features).
 SURFACE_BLOCK_ROWS = 16_384
 
 
@@ -271,8 +272,8 @@ def population_reward(
     the noise-free outcome surfaces, so only covariate sampling error remains.
     The draws and surfaces of the last call are reused, bit for bit, when the
     next call samples the same points. ``policy`` may be any object whose
-    ``decide`` maps covariate rows to 0/1 decisions; the covariates passed to
-    it are read-only.
+    ``decide`` maps covariate rows to 0/1 decisions, each row on its own: it
+    is called on read-only views of at most ``SURFACE_BLOCK_ROWS`` draws.
     """
     if scope not in ("target", "entire"):
         raise ValueError("scope must be 'target' or 'entire'")
@@ -280,9 +281,14 @@ def population_reward(
         raise ValueError("n_draws must be at least 1")
     n_src = 0 if scope == "target" else int(round(n_draws * config.source_fraction))
     X, mu1, mu0 = _population_draws(config, n_src, n_draws, seed)
-    decisions = policy.decide(X)
-    # decisions * mu1 + (1 - decisions) * mu0, operation for operation, in two buffers
-    values, control = np.multiply(decisions, mu1), np.subtract(1.0, decisions)
+    # decided block by block, so a policy's feature expansion never spans every draw
+    decisions = np.empty(n_draws)
+    for start in range(0, n_draws, SURFACE_BLOCK_ROWS):
+        block = slice(start, start + SURFACE_BLOCK_ROWS)
+        decisions[block] = policy.decide(X[block])
+    # decisions * mu1 + (1 - decisions) * mu0, operation for operation, in the decisions and one buffer
+    control = np.subtract(1.0, decisions)
+    values = np.multiply(decisions, mu1, out=decisions)
     np.multiply(control, mu0, out=control)
     return float(np.add(values, control, out=values).mean())
 

@@ -153,6 +153,27 @@ def test_estimate_refuses_a_malformed_policy_file_before_reading_the_data(tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "changes, named",
+    [({"theta": {"a": 1}}, "theta"), ({"p_in": None}, "'p_in'"), ({"p_in": "3"}, "'p_in'"), ({"feature_map": 2}, "'feature_map'")],
+    ids=["theta-object", "p_in-null", "p_in-string", "feature_map-number"],
+)
+def test_estimate_refuses_a_policy_value_of_the_wrong_json_type_before_reading_the_data(
+    tmp_path, capsys, monkeypatch, changes, named
+):
+    policy, out = tmp_path / "policy.json", tmp_path / "est.json"
+    policy.write_text(json.dumps({"theta": [0.1, 0.2, 0.3, 0.4], "feature_map": "raw", "p_in": 3} | changes), encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the data was read")
+
+    monkeypatch.setattr(cli, "ingest_csv", refuse)
+    assert main(["estimate", "--data", str(tmp_path / "data.csv"), "--policy", str(policy), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: policy") and named in err
+    assert not out.exists()
+
+
 def test_learn_refuses_a_csv_without_a_covariate_column(tmp_path, capsys):
     data, out = tmp_path / "data.csv", tmp_path / "policy.json"
     data.write_text("g,a,y\n1,1,2.5\n1,0,1.5\n0,,\n", encoding="utf-8")
@@ -264,6 +285,7 @@ def test_unknown_config_keys_exit_2_and_name_the_key(tmp_path, capsys, section, 
         ({"nuisance": {"outcome_map": "bogus"}}, "outcome_map"),
         ({"learner": {"feature_map": "bogus"}}, "feature_map"),
         ({"sim": {"seed": -3, "n_source": 64, "n_target": 128}, "learner": {"max_epochs": 5, "batch_size": 32}}, "seed"),
+        ({"learner": {"step_size": 10**400}}, "step_size"),  # an integer beyond the float range
     ],
 )
 def test_misconfigured_values_exit_2_and_name_the_key(tmp_path, capsys, payload, named):

@@ -19,6 +19,7 @@ from policyshift import (
     reward_coefficients,
     true_nuisances,
 )
+from policyshift.features import FEATURE_KINDS
 from policyshift.policy import _ascend
 from policyshift.simulate import feature_transform
 from reference import stepwise_learner
@@ -118,6 +119,33 @@ def test_a_policy_file_with_a_temperature_loads_and_decides_as_before():
     x = np.random.default_rng(6).normal(size=(50, 2))
     assert np.array_equal(policy.decide(x), LinearPolicy(theta=np.array([0.2, -1.0, 0.5]), fmap=FeatureMap("raw", 2)).decide(x))
     assert policy.to_dict() == {"theta": [0.2, -1.0, 0.5], "feature_map": "raw", "p_in": 2}
+
+
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        ({"theta": {"a": 1}}, "theta"),
+        ({"theta": ["0.2", -1.0, 0.5]}, "theta"),
+        ({"theta": [True, -1.0, 0.5]}, "theta"),
+        ({"theta": [0.2, 10**400, 0.5]}, "theta"),
+        ({"feature_map": 1}, "feature_map"),
+        ({"feature_map": None}, "feature_map"),
+        ({"p_in": None}, "p_in"),
+        ({"p_in": "2"}, "p_in"),
+        ({"p_in": 2.7}, "p_in"),
+        ({"p_in": True}, "p_in"),
+    ],
+)
+def test_a_policy_file_value_of_the_wrong_json_type_is_refused_by_name(changes, named):
+    payload = {"theta": [0.2, -1.0, 0.5], "feature_map": "raw", "p_in": 2} | changes
+    with pytest.raises(ValueError, match=named):
+        LinearPolicy.from_dict(payload)
+
+
+def test_a_policy_file_takes_integer_thetas_and_an_integral_float_p_in():
+    policy = LinearPolicy.from_dict({"theta": [0, -1, 0.5], "feature_map": "raw", "p_in": 2.0})
+    assert policy.fmap == FeatureMap("raw", 2) and type(policy.fmap.p_in) is int
+    assert np.array_equal(policy.theta, [0.0, -1.0, 0.5]) and policy.theta.dtype == float
 
 
 def same_result(result, other):
@@ -232,6 +260,35 @@ def test_every_trace_has_one_entry_per_epoch_and_never_ends_below_its_start(m, n
         assert len(trace.objectives) == max_epochs + 1
         assert trace.best_objective >= trace.objectives[0]
         assert trace.best_objective == max(trace.objectives)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    p=st.integers(1, 3),
+    feature_map=st.sampled_from(FEATURE_KINDS),
+    batch_size=st.integers(2, 9),
+    full_batches=st.integers(1, 4),
+    short_fraction=st.floats(0.0, 1.0),
+    max_epochs=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_set_of_every_group_is_the_stepwise_reference_bit_for_bit(
+    sizes, p, feature_map, batch_size, full_batches, short_fraction, max_epochs, seed
+):
+    # the last batch is short: 1 to batch_size - 1 rows
+    n = full_batches * batch_size + 1 + int(short_fraction * (batch_size - 2))
+    rng = np.random.default_rng(seed)
+    groups = [(
+        [coeffs_from(rng.normal(scale=10.0, size=n), rng.normal(size=n)) for _ in range(m)],
+        rng.normal(size=(n, p)) * rng.uniform(0.5, 2.0, size=p) + rng.normal(size=p),
+        int(rng.integers(1 << 30)),
+    ) for m in sizes]
+    config = LearnerConfig(feature_map=feature_map, batch_size=batch_size, max_epochs=max_epochs)
+    stacked = _ascend(groups, config)
+    assert [len(results) for results in stacked] == sizes
+    for (coeffs, x, group_seed), results in zip(groups, stacked):
+        assert all(matches_stepwise(r, c, x, config, group_seed) for c, r in zip(coeffs, results))
 
 
 ENGINE_SEEDS = (2_000_025, 2_000_000, 2_000_101, 2_000_024, 2_000_050)

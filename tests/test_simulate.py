@@ -227,12 +227,17 @@ def test_population_reward_passes_the_same_read_only_draws_while_the_key_holds()
             return np.ones(len(x))
 
     base = SimConfig()
-    population_reward(base, Recording(), "entire", 2_000, 3)
-    population_reward(replace(base, seed=9, noise_sd=2.0, beta_treatment=0.5), Recording(), "entire", 2_000, 3)
-    population_reward(base, Recording(), "entire", 2_000, 4)
-    assert seen[0] is seen[1]
-    assert seen[2] is not seen[1]
-    assert not any(x.flags.writeable for x in seen)
+    n_draws = 2 * simulate.SURFACE_BLOCK_ROWS + 5  # two full blocks and a short one
+    kept = []
+    for config, seed in ((base, 3), (replace(base, seed=9, noise_sd=2.0, beta_treatment=0.5), 3), (base, 4)):
+        population_reward(config, Recording(), "entire", n_draws, seed)
+        kept.append(simulate._population_cache[1][0])
+    assert kept[0] is kept[1] and kept[2] is not kept[1]
+    assert len(seen) == 9 and not any(x.flags.writeable for x in seen)
+    # each call passes its draws in order, as views of the one cached X of its key
+    for blocks, X, other in ((seen[:3], kept[0], kept[2]), (seen[3:6], kept[0], kept[2]), (seen[6:], kept[2], kept[0])):
+        assert np.array_equal(np.concatenate(blocks), X)
+        assert all(np.shares_memory(x, X) and not np.shares_memory(x, other) for x in blocks)
 
 
 def test_population_reward_is_the_same_for_list_array_and_tuple_configs():
@@ -300,6 +305,19 @@ def test_building_the_truth_holds_little_beyond_what_it_keeps(monkeypatch):
     kept_bytes = sum(a.nbytes for a in kept)
     assert kept_bytes == 200_000 * 5 * 8  # X and two surfaces
     assert peak <= 1.5 * kept_bytes, f"peak {peak} bytes for {kept_bytes} kept"
+
+
+@pytest.mark.parametrize("policy", [RAW_POLICY, QUADRATIC_POLICY], ids=["raw", "quadratic"])
+def test_scoring_a_policy_on_the_cached_draws_holds_at_most_5_mib(policy):
+    config = SimConfig()
+    population_reward(config, policy)  # builds the cache outside the traced call
+    tracemalloc.start()
+    try:
+        population_reward(config, policy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20, f"peak {peak} bytes"
 
 
 def test_truth_sidecar_round_trip(tmp_path):
