@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +54,6 @@ def _parse_grid(raw: str) -> tuple[float, ...]:
         grid = tuple(float(v) for v in raw.split(",") if v.strip() != "")
     except ValueError:
         raise ValueError(f"cannot parse grid {raw!r}; expected comma-separated numbers") from None
-    if not grid:
-        raise ValueError("grid is empty")
     if not np.isfinite(grid).all():
         raise ValueError(f"grid values must be finite, got {raw!r}")
     return grid
@@ -134,15 +133,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     nuisances = fit_nuisances(dataset, config.nuisance)
     coeffs = reward_coefficients(dataset, nuisances, args.method, args.estimand)
     result = estimate_reward(coeffs, policy.decide(dataset.covariates))
-    out = {
-        "value": result.value,
-        "std_error": result.std_error,
-        "ci_low": result.ci_low,
-        "ci_high": result.ci_high,
-        "method": args.method,
-        "estimand": args.estimand,
-        "n_rows": dataset.n,
-    }
+    out = {**asdict(result), "method": args.method, "estimand": args.estimand, "n_rows": dataset.n}
     Path(args.out).write_text(json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{args.method} estimate of {args.estimand}: {result.value:.4f} (95% CI {result.ci_low:.4f}, {result.ci_high:.4f})")
     return 0

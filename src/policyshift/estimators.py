@@ -35,8 +35,6 @@ class RewardCoefficients:
     a: np.ndarray
     b: np.ndarray
     center_weight: np.ndarray
-    kind: str
-    estimand: str
 
     @property
     def n(self) -> int:
@@ -49,9 +47,6 @@ class RewardEstimate:
     std_error: float
     ci_low: float
     ci_high: float
-    kind: str
-    estimand: str
-    influence_values: np.ndarray | None = None
 
 
 def _coefficients(dataset: CombinedDataset, nuisances: NuisanceSet, kind: str, estimand: str) -> RewardCoefficients:
@@ -88,7 +83,7 @@ def _coefficients(dataset: CombinedDataset, nuisances: NuisanceSet, kind: str, e
         off = g * (1.0 - arm) * r0 * weight / ((1.0 - v.e1) * weight_scale)
         a = a + (on - off)
         b = b + off
-    return RewardCoefficients(a=a, b=b, center_weight=center_weight, kind=kind, estimand=estimand)
+    return RewardCoefficients(a=a, b=b, center_weight=center_weight)
 
 
 _SUPPORTED = {("direct", "r"), ("ipw", "r"), ("se", "r"), ("se", "v")}
@@ -103,6 +98,16 @@ def reward_coefficients(
     return _coefficients(dataset, nuisances, kind, estimand)
 
 
+def _policy_values(policy_values: np.ndarray, n: int) -> np.ndarray:
+    """``policy_values`` as floats, refused unless there is one finite value in [0, 1] per row."""
+    pi = np.asarray(policy_values, dtype=float)
+    if pi.shape != (n,):
+        raise ValueError(f"policy values have shape {pi.shape}, expected {(n,)}")
+    if not ((pi >= 0.0) & (pi <= 1.0)).all():
+        raise ValueError("policy values must be finite and lie in [0, 1]")
+    return pi
+
+
 def estimate(coeffs: RewardCoefficients, policy_values: np.ndarray) -> RewardEstimate:
     """Evaluate the decomposition at given policy values in [0, 1].
 
@@ -110,9 +115,7 @@ def estimate(coeffs: RewardCoefficients, policy_values: np.ndarray) -> RewardEst
     identification weight, which makes their mean exactly zero; the standard
     error is their sample standard deviation divided by sqrt(n).
     """
-    pi = np.asarray(policy_values, dtype=float)
-    if pi.shape != coeffs.a.shape:
-        raise ValueError(f"policy values have shape {pi.shape}, expected {coeffs.a.shape}")
+    pi = _policy_values(policy_values, coeffs.n)
     contributions = pi * coeffs.a + coeffs.b
     value = float(contributions.mean())
     influence = contributions - value * coeffs.center_weight
@@ -123,9 +126,6 @@ def estimate(coeffs: RewardCoefficients, policy_values: np.ndarray) -> RewardEst
         std_error=std_error,
         ci_low=value - Z_95 * std_error,
         ci_high=value + Z_95 * std_error,
-        kind=coeffs.kind,
-        estimand=coeffs.estimand,
-        influence_values=influence if coeffs.kind == "se" else None,
     )
 
 
@@ -143,7 +143,7 @@ def bias_diagnostic(
     a score-model error factor, hence it vanishes whenever either side is
     correct. Returns the absolute value unless ``signed``.
     """
-    pi = np.asarray(policy_values, dtype=float)
+    pi = _policy_values(policy_values, dataset.n)
     t = true_nuisances.values(dataset.covariates)
     f = fitted_nuisances.values(dataset.covariates)
     q = dataset.source_fraction

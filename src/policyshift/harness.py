@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import json_option
-from .estimators import RewardEstimate, bias_diagnostic, estimate, reward_coefficients
+from .estimators import bias_diagnostic, estimate, reward_coefficients
 from .estimators import generalization_bound  # noqa: F401 -- perfbench/tracer.py wraps harness.generalization_bound by name
 from .nuisance import FitError, NuisanceConfig, fit_nuisances
 from .policy import LearnerConfig, LinearPolicy, _ascend
@@ -43,9 +43,6 @@ class EvalMetrics:
     regret: float
     policy_error: float
     welfare_change: float
-
-    def to_dict(self) -> dict:
-        return {k: float(v) for k, v in asdict(self).items()}
 
 
 def evaluate_policy(policy: LinearPolicy, sim: SimulatedData, welfare_scope: str = "all") -> EvalMetrics:
@@ -120,15 +117,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown {name} options: {sorted(unknown)}")
             sections[name] = type(default)(**{k: json_option(name, k, v, getattr(default, k)) for k, v in options.items()})
         return cls(welfare_scope=payload.get("welfare_scope", defaults.welfare_scope), **sections)
-
-
-def _estimate_to_dict(est: RewardEstimate) -> dict:
-    return {
-        "value": float(est.value),
-        "std_error": float(est.std_error),
-        "ci_low": float(est.ci_low),
-        "ci_high": float(est.ci_high),
-    }
 
 
 def _failure(exc: Exception) -> dict:
@@ -212,13 +200,27 @@ def _evaluate(stage: tuple, method: str, outcome, welfare_scope: str) -> dict:
     except (FitError, ValueError, FloatingPointError) as exc:
         return _failure(exc)
     return {
-        "metrics": metrics.to_dict(),
-        "estimate": _estimate_to_dict(est),
-        "theta": [float(t) for t in policy.theta],
+        "metrics": asdict(metrics),
+        "estimate": asdict(est),
+        "theta": policy.to_dict()["theta"],
         "best_epoch": trace.best_epoch,
         "objective": trace.best_objective,
         "bias_diagnostic": float(diag),
     }
+
+
+def _check_methods(methods: tuple[str, ...]) -> tuple[str, ...]:
+    """``methods`` as a tuple, refused when empty or when one is unknown or repeated."""
+    methods = tuple(methods)
+    if not methods:
+        raise ValueError("no methods given")
+    unknown = [m for m in methods if m not in DEFAULT_METHODS]
+    if unknown:
+        raise ValueError(f"unknown methods: {unknown}; choose from {','.join(DEFAULT_METHODS)}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"duplicate methods: {repeated}")
+    return methods
 
 
 def run_replication(config: ExperimentConfig, replication: int, methods: tuple[str, ...] = DEFAULT_METHODS) -> dict:
@@ -228,7 +230,8 @@ def run_replication(config: ExperimentConfig, replication: int, methods: tuple[s
     nuisance fitting) fails the whole replication; a failure inside one
     method's stage is recorded for that method only.
     """
-    (record,) = _run_replications(config, range(replication, replication + 1), tuple(methods))
+    methods = _check_methods(methods)
+    (record,) = _run_replications(config, range(replication, replication + 1), methods)
     return record
 
 
@@ -260,14 +263,8 @@ def _t_test(a: np.ndarray, b: np.ndarray) -> dict | None:
     """The paired t-test of ``a`` against ``b`` as a report entry; None below two pairs."""
     if a.size < 2:
         return None
-    result = paired_t_test(a, b)
-    return {
-        "t_stat": None if np.isnan(result.t_stat) else float(result.t_stat),
-        "p_value": float(result.p_value),
-        "df": result.df,
-        "mean_difference": float(result.mean_difference),
-        "degenerate": result.degenerate,
-    }
+    result = asdict(paired_t_test(a, b))
+    return {**result, "t_stat": None if np.isnan(result["t_stat"]) else result["t_stat"]}
 
 
 @dataclass(frozen=True)
@@ -282,19 +279,8 @@ class ExperimentReport:
     paired_t_tests: dict
     completed: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "methods": list(self.methods),
-            "completed": self.completed,
-            "aggregates": self.aggregates,
-            "relative_improvement": self.relative_improvement,
-            "paired_t_tests": self.paired_t_tests,
-            "replications": self.replications,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     def metric_series(self, method: str, metric: str) -> np.ndarray:
         (values,) = _series(self.replications, method, ("metrics", metric))
@@ -315,14 +301,7 @@ def run_table(
     """
     if replications < 2:
         raise ValueError("need at least two replications")
-    if not methods:
-        raise ValueError("no methods given")
-    unknown = [m for m in methods if m not in DEFAULT_METHODS]
-    if unknown:
-        raise ValueError(f"unknown methods: {unknown}; choose from {','.join(DEFAULT_METHODS)}")
-    repeated = sorted({m for m in methods if methods.count(m) > 1})
-    if repeated:
-        raise ValueError(f"duplicate methods: {repeated}")
+    methods = _check_methods(methods)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     if workers > 1:
@@ -331,10 +310,10 @@ def run_table(
         bounds = [replications * c // chunks for c in range(chunks + 1)]
         ranges = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_records = pool.map(_run_replications, repeat(config), ranges, repeat(tuple(methods)))
+            chunk_records = pool.map(_run_replications, repeat(config), ranges, repeat(methods))
             records = [record for chunk in chunk_records for record in chunk]
     else:
-        records = _run_replications(config, range(replications), tuple(methods))
+        records = _run_replications(config, range(replications), methods)
 
     # the key path of each aggregate in a method's record entry
     paths = {**{metric: ("metrics", metric) for metric in METRIC_NAMES}, "estimated_reward": ("estimate", "value")}
@@ -356,7 +335,7 @@ def run_table(
 
     return ExperimentReport(
         config={**config.to_dict(), "replications": replications},
-        methods=tuple(methods),
+        methods=methods,
         replications=records,
         aggregates=aggregates,
         relative_improvement=relative,
@@ -400,6 +379,8 @@ def run_sweep(
         raise ValueError(f"kind must be one of {SWEEP_KINDS}")
     if not grid:
         raise ValueError("grid must be nonempty")
+    if len(set(grid)) < len(grid):
+        raise ValueError(f"grid values must be distinct, got {grid}")
     # every point's config is built, and so checked, before any table runs
     points = [
         (float(v), shift_sweep_config(config.sim, v) if kind == "shift" else replace(config.sim, beta_treatment=float(v)))
@@ -417,12 +398,5 @@ def write_sweep_csv(results: list[tuple[float, ExperimentReport]], path: str | P
             for method in report.methods:
                 for metric in METRIC_NAMES:
                     agg = report.aggregates[method][metric]
-                    writer.writerow(
-                        [
-                            repr(value),
-                            method,
-                            metric,
-                            "" if agg["mean"] is None else repr(agg["mean"]),
-                            "" if agg["sd"] is None else repr(agg["sd"]),
-                        ]
-                    )
+                    summary = ["" if agg[key] is None else repr(agg[key]) for key in ("mean", "sd")]
+                    writer.writerow([repr(value), method, metric, *summary])

@@ -11,7 +11,6 @@ ascent with step size eta / T**2, whose coefficients are the former's over T.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,18 +51,14 @@ class LinearPolicy:
     def from_dict(cls, payload: dict) -> "LinearPolicy":
         """Load ``to_dict`` output; a ``temperature`` key of older files is ignored.
 
-        The JSON types are checked as ``json_option`` checks a config: theta
-        is a list of numbers, feature_map a string and p_in an integer.
+        Every value is read through ``json_option``: theta as a list of finite
+        numbers, feature_map as a string and p_in as an integer.
         """
         missing = [k for k in ("theta", "feature_map", "p_in") if type(payload) is not dict or k not in payload]
         if missing:
             raise ValueError(f"a policy must be a JSON object with keys theta, feature_map and p_in; missing {missing}")
-        theta = payload["theta"]
-        # a bool is never a number; NaN, Infinity and an integer beyond the float range are not finite
-        if type(theta) is not list or not all(type(t) in (int, float) and abs(t) <= sys.float_info.max for t in theta):
-            raise ValueError(f"policy theta must be a finite 1-D vector of numbers, got {theta!r}")
         return cls(
-            theta=np.array(theta, dtype=float),
+            theta=np.array(json_option("policy", "theta", payload["theta"], (0.0,)), dtype=float),
             fmap=FeatureMap(
                 json_option("policy", "feature_map", payload["feature_map"], ""),
                 json_option("policy", "p_in", payload["p_in"], 0),

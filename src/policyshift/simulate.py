@@ -150,6 +150,18 @@ def true_nuisances(config: SimConfig) -> NuisanceSet:
     )
 
 
+def _draw_covariates(rng: np.random.Generator, parts: list[tuple[int, tuple, tuple]]) -> np.ndarray:
+    """Each ``(n, mean, cov)`` part's rows in turn: standard normals times the Cholesky factor, plus the mean."""
+    X, start = np.empty((sum(n for n, _, _ in parts), 3)), 0
+    for n, mu, cov in parts:
+        chol = np.linalg.cholesky(np.asarray(cov, dtype=float))
+        rows = X[start : start + n]
+        np.matmul(rng.standard_normal((n, 3)), chol.T, out=rows)
+        rows += np.asarray(mu, dtype=float)
+        start += n
+    return X
+
+
 def generate(config: SimConfig | None = None) -> SimulatedData:
     """Draw one combined dataset; byte-identical for equal configs.
 
@@ -162,14 +174,10 @@ def generate(config: SimConfig | None = None) -> SimulatedData:
     n1, n0 = config.n_source, config.n_target
     n = n1 + n0
 
-    chol_s = np.linalg.cholesky(np.asarray(config.cov_source, dtype=float))
-    chol_t = np.linalg.cholesky(np.asarray(config.cov_target, dtype=float))
-    x_source = rng.standard_normal((n1, 3)) @ chol_s.T + np.asarray(config.mu_source)
-    x_target = rng.standard_normal((n0, 3)) @ chol_t.T + np.asarray(config.mu_target)
-    X = np.vstack([x_source, x_target])
+    X = _draw_covariates(rng, [(n1, config.mu_source, config.cov_source), (n0, config.mu_target, config.cov_target)])
 
     truth = true_nuisances(config).bind(X)
-    treat_prob = np.asarray(truth.e1(x_source))  # unclipped
+    treat_prob = np.asarray(truth.e1(X[:n1]))  # unclipped
     treatment_src = (rng.random(n1) < treat_prob).astype(float)
 
     v = truth.values(X)
@@ -241,14 +249,7 @@ def _population_draws(
     entry = _population_cache
     if entry is None or entry[0] != key:
         _population_cache = None
-        rng = np.random.default_rng(seed)
-        X, start = np.empty((n_draws, 3)), 0
-        for n, mu, cov in parts:
-            chol = np.linalg.cholesky(np.asarray(cov, dtype=float))
-            rows = X[start : start + n]
-            np.matmul(rng.standard_normal((n, 3)), chol.T, out=rows)
-            rows += np.asarray(mu, dtype=float)
-            start += n
+        X = _draw_covariates(np.random.default_rng(seed), parts)
         mu1, mu0 = np.empty(n_draws), np.empty(n_draws)
         for start in range(0, n_draws, SURFACE_BLOCK_ROWS):
             block = slice(start, start + SURFACE_BLOCK_ROWS)
@@ -295,19 +296,11 @@ def population_reward(
 
 def write_truth_csv(sim: SimulatedData, path: str | Path) -> None:
     """Row-aligned sidecar with potential outcomes and true nuisance values."""
-    X = sim.dataset.covariates
-    v = sim.truth.values(X)
-    columns = {
-        "y1": sim.y1,
-        "y0": sim.y0,
-        "mu0_true": v.mu0,
-        "mu1_true": v.mu1,
-        "e1_true": v.e1,
-        "s_true": v.s,
-    }
+    v = sim.truth.values(sim.dataset.covariates)
+    columns = (sim.y1, sim.y0, v.mu0, v.mu1, v.e1, v.s)  # in SIDECAR_COLUMNS order
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SIDECAR_COLUMNS)
-        for i in range(sim.dataset.n):
-            writer.writerow([repr(float(columns[c][i])) for c in SIDECAR_COLUMNS])
+        for row in zip(*columns):
+            writer.writerow([repr(float(value)) for value in row])
 

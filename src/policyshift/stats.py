@@ -91,12 +91,14 @@ def paired_t_test(series_a: np.ndarray, series_b: np.ndarray) -> PairedTTest:
     """Two-sided paired t-test of mean(series_a - series_b) = 0.
 
     Zero-variance differences are degenerate; they are reported with p = 1 and
-    the ``degenerate`` flag instead of an error.
+    the ``degenerate`` flag instead of an error. Non-finite values are refused.
     """
     a = np.asarray(series_a, dtype=float)
     b = np.asarray(series_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("series must be 1-d and of equal length")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("series must be finite")
     k = len(a)
     if k < 2:
         raise ValueError("need at least two pairs")

@@ -13,6 +13,7 @@ import pytest
 
 from policyshift import (
     ExperimentConfig,
+    ExperimentReport,
     FeatureMap,
     LearnerConfig,
     LinearPolicy,
@@ -284,6 +285,51 @@ def _se_loses(se_errors, rival_errors, level):
     return test.mean_difference > 0 and (test.degenerate or test.p_value < level), test
 
 
+def _sweep_point(kind, value, table, rivals, level):
+    """The detail line of one sweep point, with se's violations and ties against each rival.
+
+    A method that never completed shows its mean as n/a. A rival with fewer
+    than 2 paired replications cannot be tested, which counts as a violation,
+    so no point is skipped silently.
+    """
+    means = {m: table.aggregates[m]["policy_error"]["mean"] for m in ("direct", "ipw", "se")}
+    shown = " ".join(f"{m}={'n/a' if mean is None else f'{mean:.3f}'}" for m, mean in means.items())
+    line = f"{kind}={value}: {shown} (n={min(table.completed.values())})"
+    failures, ties = [], []
+    for rival in rivals:
+        se_errors, rival_errors = _paired_series(table, "policy_error", "se", rival)
+        if len(se_errors) < 2:
+            failures.append(f"{kind}@{value}: se vs {rival} has fewer than 2 paired replications")
+            continue
+        lost, test = _se_loses(se_errors, rival_errors, level)
+        if test.mean_difference <= 0:
+            continue
+        gap_se = float((se_errors - rival_errors).std(ddof=1) / np.sqrt(len(se_errors)))
+        (failures if lost else ties).append(
+            f"{kind}@{value}: se vs {rival} paired gap {test.mean_difference:+.4f} "
+            f"(se {gap_se:.4f}, t {test.t_stat:.2f}, p {test.p_value:.2g})"
+        )
+    return line, failures, ties
+
+
+def test_criterion_7_sweep_point_reports_a_fully_failed_point():
+    failed = {"replication": 0, "seed": 0, "error": "FitError: outcome model for arm 1: 2 source rows, need at least 4"}
+    empty = {"policy_error": {"mean": None, "sd": None}}
+    table = ExperimentReport(
+        config={},
+        methods=("direct", "ipw", "se"),
+        replications=[failed, {**failed, "replication": 1, "seed": 1}],
+        aggregates={m: empty for m in ("direct", "ipw", "se")},
+        relative_improvement={},
+        paired_t_tests={},
+        completed={m: 0 for m in ("direct", "ipw", "se")},
+    )
+    line, failures, ties = _sweep_point("treatment", 1.0, table, ("direct", "ipw"), 0.05)
+    assert line == "treatment=1.0: direct=n/a ipw=n/a se=n/a (n=0)"
+    assert failures == [f"treatment@1.0: se vs {r} has fewer than 2 paired replications" for r in ("direct", "ipw")]
+    assert ties == []
+
+
 def test_criterion_7_loss_rule_on_synthetic_pairs():
     level = 0.05 / 18
     # binary fractions, so the constant differences have exactly zero variance
@@ -319,26 +365,13 @@ def test_criterion_7_sweeps_keep_se_weakly_best():
     rivals = ("direct", "ipw")
     # Bonferroni over every (grid point, rival) comparison made below
     level = 0.05 / sum(len(results) * len(rivals) for _, results in sweeps)
-    failures = []
-    ties = []
-    lines = []
+    failures, ties, lines = [], [], []
     for kind, results in sweeps:
         for value, table in results:
-            means = {m: table.aggregates[m]["policy_error"]["mean"] for m in table.methods}
-            completed = min(table.completed.values())
-            lines.append(
-                f"{kind}={value}: direct={means['direct']:.3f} ipw={means['ipw']:.3f} se={means['se']:.3f} (n={completed})"
-            )
-            for rival in rivals:
-                se_errors, rival_errors = _paired_series(table, "policy_error", "se", rival)
-                lost, test = _se_loses(se_errors, rival_errors, level)
-                if test.mean_difference <= 0:
-                    continue
-                gap_se = float((se_errors - rival_errors).std(ddof=1) / np.sqrt(len(se_errors)))
-                (failures if lost else ties).append(
-                    f"{kind}@{value}: se vs {rival} paired gap {test.mean_difference:+.4f} "
-                    f"(se {gap_se:.4f}, t {test.t_stat:.2f}, p {test.p_value:.2g})"
-                )
+            line, point_failures, point_ties = _sweep_point(kind, value, table, rivals, level)
+            lines.append(line)
+            failures += point_failures
+            ties += point_ties
     detail = "; ".join(lines) + f"; level {level:.2g}"
     if ties:
         detail += f"; not significant: {ties}"

@@ -125,7 +125,7 @@ def test_estimate_refuses_a_policy_whose_theta_is_not_a_finite_vector(tmp_path, 
     assert main(["simulate", "--config", config_path, "--out-data", str(data)]) == 0
     policy.write_text(json.dumps({"theta": theta, "feature_map": "raw", "p_in": 3}), encoding="utf-8")
     assert main(["estimate", "--data", str(data), "--policy", str(policy), "--out", str(out)]) == 2
-    assert "theta must be a finite 1-D vector" in capsys.readouterr().err
+    assert "'theta'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -213,6 +213,7 @@ def test_errors_exit_nonzero(tmp_path, config_path, capsys):
         (["sweep", "--kind", "shift", "--grid", "nan"], "grid values must be finite"),
         (["sweep", "--kind", "treatment", "--grid", "0,inf"], "grid values must be finite"),
         (["sweep", "--kind", "shift", "--grid", "0,1", "--methods", "ipw,se,ipw"], "duplicate methods: ['ipw']"),
+        (["sweep", "--kind", "treatment", "--grid", "1,1"], "grid values must be distinct"),
     ],
 )
 def test_misused_table_and_sweep_options_exit_2_and_write_nothing(tmp_path, config_path, capsys, argv, named):

@@ -195,9 +195,7 @@ def test_estimate_constant_coefficients():
     from policyshift import RewardCoefficients
 
     n = 8
-    coeffs = RewardCoefficients(
-        a=np.zeros(n), b=np.full(n, 2.5), center_weight=np.ones(n), kind="se", estimand="v"
-    )
+    coeffs = RewardCoefficients(a=np.zeros(n), b=np.full(n, 2.5), center_weight=np.ones(n))
     est = estimate(coeffs, np.linspace(0, 1, n))
     assert est.value == 2.5
     # constant contributions under a constant centering weight: no dispersion
@@ -240,27 +238,60 @@ def test_estimate_rejects_length_mismatch():
         estimate(reward_coefficients(ds, ns, "se", "r"), np.ones(ds.n + 1))
 
 
+@pytest.mark.parametrize("bad", [2.0, -0.5, np.nan, np.inf])
+def test_estimate_and_bias_diagnostic_refuse_policy_values_outside_0_1(bad):
+    rng = np.random.default_rng(13)
+    ds, vals, pi = random_small_dataset(rng)
+    ns = fixed_value_nuisances(**vals)
+    pi = pi.copy()
+    pi[1] = bad
+    with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
+        estimate(reward_coefficients(ds, ns, "se", "r"), pi)
+    with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
+        bias_diagnostic(ds, ns, ns, pi)
+
+
+def test_bias_diagnostic_refuses_a_policy_vector_of_the_wrong_length():
+    rng = np.random.default_rng(13)
+    ds, vals, pi = random_small_dataset(rng)
+    ns = fixed_value_nuisances(**vals)
+    with pytest.raises(ValueError, match="policy values have shape"):
+        bias_diagnostic(ds, ns, ns, pi[:-1])
+
+
 def test_se_influence_values_have_exactly_zero_mean_and_advertised_ci():
     rng = np.random.default_rng(14)
     ds, vals, pi = random_small_dataset(rng)
     ns = fixed_value_nuisances(**vals)
-    est = estimate(reward_coefficients(ds, ns, "se", "r"), pi)
-    assert est.influence_values is not None
-    assert abs(est.influence_values.mean()) < 1e-12 * max(1.0, abs(est.value))
-    sd = est.influence_values.std(ddof=1)
+    coeffs = reward_coefficients(ds, ns, "se", "r")
+    est = estimate(coeffs, pi)
+    influence = pi * coeffs.a + coeffs.b - est.value * coeffs.center_weight
+    assert abs(influence.mean()) < 1e-12 * max(1.0, abs(est.value))
+    sd = influence.std(ddof=1)
     assert close(est.std_error, sd / np.sqrt(ds.n), tol=1e-12)
     assert close(est.ci_high - est.value, Z_95 * est.std_error, tol=1e-12)
-    assert estimate(reward_coefficients(ds, ns, "direct", "r"), pi).influence_values is None
 
 
 def test_reward_coefficients_dispatch_and_unknown_kind():
     rng = np.random.default_rng(15)
-    ds, vals, _ = random_small_dataset(rng)
+    ds, vals, pi = random_small_dataset(rng)
     ns = fixed_value_nuisances(**vals)
-    for kind, estimand in (("direct", "r"), ("ipw", "r"), ("se", "r"), ("se", "v")):
-        coeffs = reward_coefficients(ds, ns, kind, estimand)
-        assert (coeffs.kind, coeffs.estimand) == (kind, estimand)
-    assert reward_coefficients(ds, ns, "direct").estimand == "r"
+    mu, scores = (vals["mu0"], vals["mu1"]), (vals["e1"], vals["s"])
+    references = {
+        ("direct", "r"): direct_r_reference(ds, *mu, pi),
+        ("ipw", "r"): ipw_r_reference(ds, *scores, pi),
+        ("se", "r"): se_r_reference(ds, *mu, *scores, pi),
+        ("se", "v"): se_v_reference(ds, *mu, *scores, pi),
+    }
+
+    def nearest(coeffs):
+        value = estimate(coeffs, pi).value
+        return min(references, key=lambda pair: abs(references[pair] - value))
+
+    # each pair's estimate is nearest its own brute-force reference, so each reaches its own builder
+    for pair in references:
+        assert nearest(reward_coefficients(ds, ns, *pair)) == pair
+    assert nearest(reward_coefficients(ds, ns, "se")) == ("se", "r")
     for kind, estimand in (("direct", "v"), ("ipw", "v"), ("dr", "r"), ("se", "t")):
         with pytest.raises(ValueError, match=f"no estimator for kind='{kind}', estimand='{estimand}'"):
             reward_coefficients(ds, ns, kind, estimand)

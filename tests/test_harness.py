@@ -224,6 +224,26 @@ def test_run_table_refuses_no_methods_repeated_methods_and_workers_below_1():
             run_table(small_config(), replications=2, workers=workers)
 
 
+@pytest.mark.parametrize(
+    "methods, named",
+    [(("direct", "bogus"), "unknown methods"), (("se", "se"), r"duplicate methods: \['se'\]"), ((), "no methods given")],
+)
+def test_run_replication_refuses_the_methods_run_table_refuses(monkeypatch, methods, named):
+    monkeypatch.setattr(harness, "_run_replications", lambda *args: pytest.fail("a replication ran"))
+    with pytest.raises(ValueError, match=named):
+        run_replication(small_config(), 0, methods)
+    with pytest.raises(ValueError, match=named):
+        run_table(small_config(), replications=2, methods=methods)
+
+
+def test_a_repeated_sweep_point_is_refused_before_any_table_runs(monkeypatch):
+    tables = []
+    monkeypatch.setattr(harness, "run_table", lambda *args, **kwargs: tables.append(args))
+    with pytest.raises(ValueError, match="grid values must be distinct"):
+        run_sweep("treatment", (1.0, 0.0, 1), small_config(), replications=2)
+    assert tables == []
+
+
 def test_failed_replication_is_recorded_not_raised():
     # 3 source rows cannot support the default outcome maps
     config = ExperimentConfig(sim=SimConfig(n_source=3, n_target=16, seed=1), learner=LearnerConfig(max_epochs=2, batch_size=8))

@@ -25,10 +25,10 @@ from policyshift.simulate import feature_transform
 from reference import stepwise_learner
 
 
-def coeffs_from(a, b=None, estimand="r"):
+def coeffs_from(a, b=None):
     a = np.asarray(a, dtype=float)
     b = np.zeros_like(a) if b is None else np.asarray(b, dtype=float)
-    return RewardCoefficients(a=a, b=b, center_weight=np.ones_like(a), kind="se", estimand=estimand)
+    return RewardCoefficients(a=a, b=b, center_weight=np.ones_like(a))
 
 
 def test_oracle_decision_from_generator_truth():

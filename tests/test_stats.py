@@ -60,6 +60,14 @@ def test_paired_input_validation():
         paired_t_test(np.ones(3), np.ones(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_paired_refuses_non_finite_series(bad):
+    with pytest.raises(ValueError, match="finite"):
+        paired_t_test(np.array([1.0, bad, 2.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        paired_t_test(np.zeros(3), np.array([1.0, bad, 2.0]))
+
+
 def test_paired_matches_scipy_on_random_series():
     rng = np.random.default_rng(2)
     for _ in range(25):
