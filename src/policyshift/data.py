@@ -11,7 +11,9 @@ policy file.
 from __future__ import annotations
 
 import csv
+import itertools
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,6 +158,9 @@ def require_valid(dataset: CombinedDataset) -> CombinedDataset:
 # the reserved CSV columns; every other column is a covariate
 GROUP, TREATMENT, OUTCOME = "g", "a", "y"
 
+# rows read, converted and written together; bounds the cell strings held at once
+_BLOCK_ROWS = 4096
+
 
 def _parse_cell(raw: str, line: int, column: str) -> float:
     if raw == "":
@@ -166,6 +171,39 @@ def _parse_cell(raw: str, line: int, column: str) -> float:
         raise ValueError(f"line {line}, column {column}: cannot parse {raw!r} as a number") from None
 
 
+def _raise_first_fault(rows: list[list[str]], first_line: int, header: list[str], numeric: list[str]) -> None:
+    """Raise the error of the first faulty row: its cell count, then ``g``, then each numeric column in turn."""
+    for line, row in enumerate(rows, start=first_line):
+        if len(row) != len(header):
+            raise ValueError(f"line {line}: expected {len(header)} cells, got {len(row)}")
+        g_raw = row[header.index(GROUP)]
+        if g_raw not in ("0", "1"):
+            raise ValueError(f"line {line}, column {GROUP}: group must be literal 0 or 1, got {g_raw!r}")
+        for name in numeric:
+            _parse_cell(row[header.index(name)], line, name)
+
+
+def _float_column(cells: tuple[str, ...]) -> np.ndarray:
+    """``float`` of every cell, an empty cell reading as NaN; any other unreadable cell raises ValueError."""
+    if "" in cells:
+        cells = [cell or "nan" for cell in cells]
+    return np.fromiter(map(float, cells), float, len(cells))
+
+
+def _convert_block(rows: list[list[str]], header: list[str], numeric: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The group column and the (rows, numeric columns) values of a block; any fault raises ValueError."""
+    if set(map(len, rows)) != {len(header)}:
+        raise ValueError("a row has the wrong number of cells")
+    columns = list(zip(*rows))
+    group = columns[header.index(GROUP)]
+    if not {"0", "1"}.issuperset(group):
+        raise ValueError("a group cell is neither 0 nor 1")
+    values = np.empty((len(rows), len(numeric)))
+    for j, name in enumerate(numeric):
+        values[:, j] = _float_column(columns[header.index(name)])
+    return np.fromiter(map(int, group), int, len(rows)), values
+
+
 def ingest_csv(path: str | Path) -> CombinedDataset:
     """Read and validate a combined dataset from a CSV file.
 
@@ -173,7 +211,9 @@ def ingest_csv(path: str | Path) -> CombinedDataset:
     reserved, and every other column is a covariate, in header order. ``g``
     is required; ``a`` and ``y`` are optional (a file with neither describes a
     pure target-domain extract and will fail validation if it has source rows).
-    Empty cells mean absent; the group column must hold literal 0 or 1.
+    Empty cells mean absent; the group column must hold literal 0 or 1. Rows
+    are converted a block at a time, column by column; an error names the
+    first faulty row and, within it, the first faulty cell.
     """
     path = Path(path)
     # "utf-8-sig" drops the byte-order mark that spreadsheet exports put before the header
@@ -193,53 +233,63 @@ def ingest_csv(path: str | Path) -> CombinedDataset:
             raise ValueError(
                 f"{path}: no covariate column; every column other than {GROUP!r}, {TREATMENT!r} and {OUTCOME!r} is a covariate"
             )
-        idx = {name: header.index(name) for name in header}
+        numeric = cov_names + [c for c in (TREATMENT, OUTCOME) if c in header]
 
-        rows_x: list[list[float]] = []
-        rows_g: list[int] = []
-        rows_a: list[float] = []
-        rows_y: list[float] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
-            g_raw = row[idx[GROUP]]
-            if g_raw not in ("0", "1"):
-                raise ValueError(f"line {line_no}, column {GROUP}: group must be literal 0 or 1, got {g_raw!r}")
-            rows_g.append(int(g_raw))
-            rows_x.append([_parse_cell(row[idx[c]], line_no, c) for c in cov_names])
-            a_raw = row[idx[TREATMENT]] if TREATMENT in idx else ""
-            y_raw = row[idx[OUTCOME]] if OUTCOME in idx else ""
-            rows_a.append(_parse_cell(a_raw, line_no, TREATMENT))
-            rows_y.append(_parse_cell(y_raw, line_no, OUTCOME))
+        groups: list[np.ndarray] = []
+        values: list[np.ndarray] = []
+        line = 2
+        while True:
+            rows: list[list[str]] = []
+            try:
+                rows.extend(itertools.islice(reader, _BLOCK_ROWS))
+            except (csv.Error, UnicodeDecodeError):
+                _raise_first_fault(rows, line, header, numeric)  # rows read before the bad one come first
+                raise
+            if not rows:
+                break
+            try:
+                group, block = _convert_block(rows, header, numeric)
+            except ValueError:
+                _raise_first_fault(rows, line, header, numeric)
+                raise
+            groups.append(group)
+            values.append(block)
+            line += len(rows)
 
-    if not rows_g:
+    if not groups:
         raise ValueError(f"{path}: no data rows")
+    table = np.concatenate(values)
+    absent = np.full(len(table), np.nan)
     dataset = CombinedDataset(
-        covariates=np.array(rows_x, dtype=float),
-        group=np.array(rows_g, dtype=int),
-        treatment=np.array(rows_a, dtype=float),
-        outcome=np.array(rows_y, dtype=float),
+        covariates=table[:, : len(cov_names)],
+        group=np.concatenate(groups),
+        treatment=table[:, numeric.index(TREATMENT)] if TREATMENT in numeric else absent,
+        outcome=table[:, numeric.index(OUTCOME)] if OUTCOME in numeric else absent,
         covariate_names=tuple(cov_names),
     )
     return require_valid(dataset)
 
 
-def _fmt(value: float) -> str:
-    if np.isnan(value):
-        return ""
-    return repr(float(value))
+def _cells(values: list, integral: bool) -> list[str]:
+    """Full-precision decimal text of each value (``str(int(v))`` if ``integral``), NaN as an empty cell."""
+    fmt = (lambda v: str(int(v))) if integral else repr
+    return [fmt(v) if v == v else "" for v in values]
+
+
+def _write_columns(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray], integral=()) -> None:
+    """Write equal-length columns under ``header``, formatting a block of rows at a time.
+
+    Columns named in ``integral`` hold whole numbers and are written as such.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            cells = [_cells(c[start : start + _BLOCK_ROWS].tolist(), h in integral) for h, c in zip(header, columns)]
+            writer.writerows(zip(*cells))
 
 
 def write_csv(dataset: CombinedDataset, path: str | Path) -> None:
     """Write a dataset using full-precision decimal text (round-trip exact)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.covariate_names) + [GROUP, TREATMENT, OUTCOME])
-        for i in range(dataset.n):
-            a = dataset.treatment[i]
-            writer.writerow(
-                [_fmt(v) for v in dataset.covariates[i]]
-                + [str(int(dataset.group[i]))]
-                + [("" if np.isnan(a) else str(int(a))), _fmt(dataset.outcome[i])]
-            )
+    columns = [*dataset.covariates.T, dataset.group, dataset.treatment, dataset.outcome]
+    _write_columns(path, [*dataset.covariate_names, GROUP, TREATMENT, OUTCOME], columns, integral=(GROUP, TREATMENT))

@@ -137,11 +137,12 @@ def _stage(config: ExperimentConfig, replication: int, methods: tuple[str, ...])
     try:
         sim = generate(replace(config.sim, seed=seed))
         nuisances = fit_nuisances(sim.dataset, config.nuisance)
+        # a cross-fitted set fits its full-data models here, on first use
+        record["nuisance_coefficients"] = nuisances.coefficients()
     except (FitError, ValueError, np.linalg.LinAlgError) as exc:
         record.update(_failure(exc))
         return record, None
 
-    record["nuisance_coefficients"] = nuisances.coefficients()
     record["methods"] = {}
     coeffs = {}
     for method in methods:

@@ -9,6 +9,7 @@ ridge-penalized logistic regression via iteratively reweighted least squares
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -213,6 +214,25 @@ class NuisanceSet:
         return out
 
 
+class _FittedOnFirstUse:
+    """One full-data model of a cross-fitted set; the first call or ``beta`` read fits all four, once.
+
+    The out-of-fold values need none of them, so a set used only on its own
+    rows never fits them. A ``FitError`` of the full-data fit surfaces at that
+    first use.
+    """
+
+    def __init__(self, fit: Callable[[], NuisanceSet], name: str) -> None:
+        self._fit, self._name = fit, name
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return getattr(self._fit(), self._name)(x)
+
+    @property
+    def beta(self) -> np.ndarray:
+        return getattr(self._fit(), self._name).beta
+
+
 @dataclass(frozen=True)
 class NuisanceConfig:
     """Reference configuration: which feature map and ridge per model."""
@@ -264,7 +284,8 @@ def fit_nuisances(dataset: CombinedDataset, config: NuisanceConfig | None = None
     Each outcome regression is fitted on the source rows of its arm, the
     treatment score on source rows and the domain score on every row. With
     ``config.folds > 1`` the models are cross-fitted: each fold's rows are
-    predicted by models trained on the remaining folds.
+    predicted by models trained on the remaining folds, and the full-data
+    models, which serve any other covariates, are fitted on first use.
     """
     config = config or NuisanceConfig()
     p = dataset.p
@@ -301,4 +322,6 @@ def fit_nuisances(dataset: CombinedDataset, config: NuisanceConfig | None = None
         vals = _fit_single(~held_out).values(x[held_out])
         for name in out:
             out[name][held_out] = getattr(vals, name)
-    return _fit_single(everything).bind(x, NuisanceValues(**out))
+    full = functools.cache(lambda: _fit_single(everything))
+    full_data = NuisanceSet(*(_FittedOnFirstUse(full, name) for name in out), clip=config.clip)
+    return full_data.bind(x, NuisanceValues(**out))

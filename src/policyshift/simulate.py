@@ -11,13 +11,12 @@ against known truth.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import CombinedDataset, _readonly
+from .data import CombinedDataset, _readonly, _write_columns
 from .features import sigmoid
 from .nuisance import NuisanceSet
 from .policy import LinearPolicy
@@ -297,10 +296,4 @@ def population_reward(
 def write_truth_csv(sim: SimulatedData, path: str | Path) -> None:
     """Row-aligned sidecar with potential outcomes and true nuisance values."""
     v = sim.truth.values(sim.dataset.covariates)
-    columns = (sim.y1, sim.y0, v.mu0, v.mu1, v.e1, v.s)  # in SIDECAR_COLUMNS order
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SIDECAR_COLUMNS)
-        for row in zip(*columns):
-            writer.writerow([repr(float(value)) for value in row])
-
+    _write_columns(path, SIDECAR_COLUMNS, (sim.y1, sim.y0, v.mu0, v.mu1, v.e1, v.s))

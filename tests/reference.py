@@ -7,17 +7,21 @@ runs one coefficient set step by step, with the sign-masked sigmoid. The
 population-reward reference draws its points anew on every call, builds
 them and the surfaces as whole arrays, and forms the reward with one
 temporary per operation; the expansion reference stacks its columns. The
-surface oracle decides straight from the generator's outcome surfaces.
+surface oracle decides straight from the generator's outcome surfaces. The
+CSV reference reads a combined dataset one row at a time, cell by cell.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from policyshift import CombinedDataset, FeatureMap, NuisanceSet
+from policyshift.data import GROUP, OUTCOME, TREATMENT, require_valid
 from policyshift.simulate import outcome_surface_control, outcome_surface_treated
 
 
@@ -234,3 +238,64 @@ def expand_reference(kind: str, x) -> np.ndarray:
     cols = [np.ones((n, 1)), x, x**2]
     cols += [(x[:, i] * x[:, j])[:, None] for i in range(p) for j in range(i + 1, p)]
     return np.hstack(cols)
+
+
+def _parse_cell_reference(raw: str, line: int, column: str) -> float:
+    if raw == "":
+        return float("nan")
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"line {line}, column {column}: cannot parse {raw!r} as a number") from None
+
+
+def ingest_reference(path) -> CombinedDataset:
+    """A combined dataset read from CSV one row at a time: each row's cell
+    count, then its group, covariates in header order, treatment and outcome,
+    each cell parsed on its own; the first faulty cell raises."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        duplicated = [c for c in dict.fromkeys(header) if header.count(c) > 1]
+        if duplicated:
+            raise ValueError(f"{path}: duplicated header columns {duplicated}")
+        if GROUP not in header:
+            raise ValueError(f"{path}: missing group column {GROUP!r}")
+        cov_names = [c for c in header if c not in (GROUP, TREATMENT, OUTCOME)]
+        if not cov_names:
+            raise ValueError(
+                f"{path}: no covariate column; every column other than {GROUP!r}, {TREATMENT!r} and {OUTCOME!r} is a covariate"
+            )
+        idx = {name: header.index(name) for name in header}
+
+        rows_x: list[list[float]] = []
+        rows_g: list[int] = []
+        rows_a: list[float] = []
+        rows_y: list[float] = []
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
+            g_raw = row[idx[GROUP]]
+            if g_raw not in ("0", "1"):
+                raise ValueError(f"line {line_no}, column {GROUP}: group must be literal 0 or 1, got {g_raw!r}")
+            rows_g.append(int(g_raw))
+            rows_x.append([_parse_cell_reference(row[idx[c]], line_no, c) for c in cov_names])
+            a_raw = row[idx[TREATMENT]] if TREATMENT in idx else ""
+            y_raw = row[idx[OUTCOME]] if OUTCOME in idx else ""
+            rows_a.append(_parse_cell_reference(a_raw, line_no, TREATMENT))
+            rows_y.append(_parse_cell_reference(y_raw, line_no, OUTCOME))
+
+    if not rows_g:
+        raise ValueError(f"{path}: no data rows")
+    dataset = CombinedDataset(
+        covariates=np.array(rows_x, dtype=float),
+        group=np.array(rows_g, dtype=int),
+        treatment=np.array(rows_a, dtype=float),
+        outcome=np.array(rows_y, dtype=float),
+        covariate_names=tuple(cov_names),
+    )
+    return require_valid(dataset)

@@ -1,10 +1,18 @@
+import csv
+import io
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from policyshift import CombinedDataset, generate, ingest_csv, validate, write_csv
+from policyshift import data
 from policyshift.simulate import SimConfig
+
+from reference import ingest_reference
 
 
 def make_dataset(group, treatment, outcome, x=None):
@@ -183,3 +191,129 @@ def test_any_dataset_survives_the_csv_round_trip_bit_for_bit(tmp_path, dataset):
         # bit patterns, so -0.0 and every NaN position must survive too
         bits = [np.asarray(values, dtype=float).view(np.uint64) for values in (before, after)]
         assert np.array_equal(*bits)
+
+
+def read_outcome(read, path):
+    """What reading ``path`` gives: the error message, or the names and the bits, dtype and shape of every array."""
+    try:
+        ds = read(path)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    arrays = [getattr(ds, name) for name in ("covariates", "group", "treatment", "outcome")]
+    return ds.covariate_names, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+# cells that float() reads in ways a hand-written parser might not; the last two fail validation
+EDGE_CELLS = (" 1.5", "1_0", "-0.0", "5e-324", "1e400", "nan")
+FAULTS = ("oops", " ", "1.5.2", "true", "0x1", "1,5")
+
+
+@st.composite
+def csv_files(draw, block_rows: int):
+    """The text of a combined-dataset CSV longer than one block, with edge cells, quoting, a byte-order
+    mark and shuffled columns, and up to two injected faults (a bad cell or a wrong cell count)."""
+    n = draw(st.integers(block_rows + 1, 3 * block_rows + 2))
+    p = draw(st.integers(1, 3))
+    edges = EDGE_CELLS if draw(st.booleans()) else EDGE_CELLS[:4]
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from(edges))
+    header = [f"x{j + 1}" for j in range(p)] + ["g", "a", "y"]
+    order = draw(st.permutations(range(len(header))))
+    rows = []
+    for i in range(n):
+        group = "1" if i == 0 else "0" if i == 1 else draw(st.sampled_from(["0", "1"]))
+        source = group == "1"
+        cells = [draw(number) for _ in range(p)]
+        cells += [group, draw(st.sampled_from(["0", "1"])) if source else "", draw(number) if source else ""]
+        rows.append(cells)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        row = rows[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(FAULTS))
+        elif draw(st.booleans()):
+            row.append("1")
+        else:
+            row.pop()
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerows([[cells[j] for j in order if j < len(cells)] for cells in [header, *rows]])
+    return ("\ufeff" if draw(st.booleans()) else "") + out.getvalue()
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 5])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_block_reader_matches_the_row_reader_bit_for_bit_and_error_for_error(tmp_path, block_rows, data_):
+    path = tmp_path / "d.csv"
+    path.write_text(data_.draw(csv_files(block_rows)), encoding="utf-8")
+    with mock.patch.object(data, "_BLOCK_ROWS", block_rows):
+        got = read_outcome(ingest_csv, path)
+    assert got == read_outcome(ingest_reference, path)
+
+
+def faulty_file(n: int, faults: list[tuple[int, int, str]]) -> str:
+    """``n`` valid rows of ``x1,x2,g,a,y``, with each fault ``(row, column, text)`` written over
+    its cell in turn (a column of -1 drops the row's last cell)."""
+    rows = [[f"{i}.5", "-0.0", "1", str(i % 2), "2.5"] if i % 3 else [f"{i}.5", "-0.0", "0", "", ""] for i in range(n)]
+    for row, column, text in faults:
+        if column == -1:
+            rows[row].pop()
+        else:
+            rows[row][column] = text
+    return "\n".join(["x1,x2,g,a,y", *map(",".join, rows)]) + "\n"
+
+
+B = data._BLOCK_ROWS
+MALFORMED = {
+    "bad cell": (5, [(3, 1, "oops")], "line 5, column x2: cannot parse 'oops' as a number"),
+    "bad g": (5, [(2, 2, "2")], "line 4, column g: group must be literal 0 or 1, got '2'"),
+    "cell count": (5, [(4, -1, "")], "line 6: expected 5 cells, got 4"),
+    "earlier row, later column": (9, [(2, 4, "y?"), (6, 0, "x?")], "line 4, column y: cannot parse 'y?' as a number"),
+    "cell count before g": (5, [(1, 2, "yes"), (1, -1, "")], "line 3: expected 5 cells, got 4"),
+    "g before covariates": (5, [(1, 0, "x?"), (1, 2, "yes")], "line 3, column g: group must be literal 0 or 1, got 'yes'"),
+    "covariates in header order, then a, then y": (5, [(1, 4, "y?"), (1, 3, "a?"), (1, 1, "x?")], "line 3, column x2: cannot parse 'x?' as a number"),
+    "last row of a block": (B + 3, [(B - 1, 0, "x?")], f"line {B + 1}, column x1: cannot parse 'x?' as a number"),
+    "first row past a block": (B + 3, [(B, 3, "1.0.0")], f"line {B + 2}, column a: cannot parse '1.0.0' as a number"),
+    "past a block, earlier fault later": (2 * B, [(B + 1, 1, "?"), (B + 7, -1, "")], f"line {B + 3}, column x2: cannot parse '?' as a number"),
+}
+
+
+@pytest.mark.parametrize("n, faults, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_files_give_the_row_readers_error(tmp_path, n, faults, message):
+    path = tmp_path / "d.csv"
+    path.write_text(faulty_file(n, faults), encoding="utf-8")
+    with pytest.raises(ValueError) as want:
+        ingest_reference(path)
+    assert str(want.value) == message
+    with pytest.raises(ValueError) as got:
+        ingest_csv(path)
+    assert str(got.value) == message
+
+
+def test_a_bad_cell_is_reported_before_a_later_unreadable_row_of_its_block(tmp_path):
+    # the csv module refuses the over-long field only once the rows before it were read
+    path = tmp_path / "d.csv"
+    text = faulty_file(6, [(1, 0, "oops")])
+    path.write_text(text + "1.0,2.0,1,1," + "9" * (csv.field_size_limit() + 1) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3, column x1: cannot parse 'oops'"):
+        ingest_reference(path)
+    with pytest.raises(ValueError, match="line 3, column x1: cannot parse 'oops'"):
+        ingest_csv(path)
+    path.write_text(text.replace("oops", "1.5"), encoding="utf-8")
+    ingest_csv(path)
+    path.write_text(text.replace("oops", "1.5") + "1.0,2.0,1,1," + "9" * (csv.field_size_limit() + 1) + "\n", encoding="utf-8")
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        ingest_csv(path)
+
+
+def test_ingesting_a_20480_row_file_peaks_at_most_4_5_mib(tmp_path):
+    # shaped like the csv_policy benchmark file: 4,096 source and 16,384 target rows of 3 covariates
+    path = tmp_path / "d.csv"
+    write_csv(generate(SimConfig(n_source=4096, n_target=16384, seed=3_000_000)).dataset, path)
+    tracemalloc.start()
+    try:
+        ds = ingest_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.n == 20480
+    assert peak <= 4.5 * 2**20, f"peak {peak} bytes"

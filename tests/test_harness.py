@@ -20,7 +20,7 @@ from policyshift import (
     write_sweep_csv,
     write_table_csv,
 )
-from policyshift import harness
+from policyshift import harness, nuisance
 from policyshift.features import FeatureMap
 from policyshift.harness import METRIC_NAMES
 from policyshift.nuisance import FitError
@@ -361,6 +361,24 @@ def test_a_failed_replication_leaves_the_batch_and_moves_no_other(monkeypatch):
         return fit(dataset, nuisance_config)
 
     monkeypatch.setattr(harness, "fit_nuisances", fail_on_replication_2)
+    records = replication_json(run_table(config, replications=4))
+    assert json.loads(records[2]) == {"replication": 2, "seed": 43, "error": "FitError: injected failure"}
+    assert records[:2] + records[3:] == clean[:2] + clean[3:]
+
+
+def test_a_crossfit_replication_whose_full_data_fit_fails_is_recorded_as_failed(monkeypatch):
+    # the full-data models of a cross-fitted set are fitted on first use, in
+    # staging; their error still fails the replication, with the same record
+    config = replace(small_config(seed=41), nuisance=NuisanceConfig(folds=5))
+    clean = replication_json(run_table(config, replications=4))
+    fit, tag, n = nuisance.fit_logistic, covariate_tag(config, 2), config.sim.n_source + config.sim.n_target
+
+    def fail_on_the_full_rows_of_replication_2(features, *args, **kwargs):
+        if len(features) == n and features[0, 0] == tag:
+            raise FitError("injected failure")
+        return fit(features, *args, **kwargs)
+
+    monkeypatch.setattr(nuisance, "fit_logistic", fail_on_the_full_rows_of_replication_2)
     records = replication_json(run_table(config, replications=4))
     assert json.loads(records[2]) == {"replication": 2, "seed": 43, "error": "FitError: injected failure"}
     assert records[:2] + records[3:] == clean[:2] + clean[3:]

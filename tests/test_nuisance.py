@@ -318,6 +318,40 @@ def test_crossfit_set_applied_to_other_data_uses_full_data_models():
     assert not own.mu1.flags.writeable
 
 
+def count_fits(monkeypatch) -> dict[str, int]:
+    """Calls of ``fit_logistic`` and ``fit_ridge`` from here on, by name."""
+    calls = {"fit_logistic": 0, "fit_ridge": 0}
+    for name in calls:
+
+        def counted(*args, _fit=getattr(nuisance, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fit(*args, **kwargs)
+
+        monkeypatch.setattr(nuisance, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("first_use", ["values", "coefficients"])
+def test_a_crossfit_set_fits_its_full_data_models_once_on_first_use(monkeypatch, first_use):
+    training = generate(SimConfig(seed=5)).dataset
+    other = generate(SimConfig(n_source=60, n_target=240, seed=6)).dataset.covariates
+    calls = count_fits(monkeypatch)
+    crossfit = fit_nuisances(training, NuisanceConfig(folds=5))
+    # two outcome regressions and two scores per fold
+    assert calls == {"fit_logistic": 10, "fit_ridge": 10}
+    crossfit.values(training.covariates)
+    assert calls == {"fit_logistic": 10, "fit_ridge": 10}
+    if first_use == "values":
+        crossfit.values(other)
+    else:
+        crossfit.coefficients()
+    assert calls == {"fit_logistic": 12, "fit_ridge": 12}
+    crossfit.values(other)
+    crossfit.coefficients()
+    assert calls == {"fit_logistic": 12, "fit_ridge": 12}
+    assert crossfit.coefficients() == fit_nuisances(training, NuisanceConfig(folds=1)).coefficients()
+
+
 def test_crossfit_folds_are_stratified():
     sim = generate(SimConfig(n_source=40, n_target=40, seed=1))
     assignment = crossfit_folds(sim.dataset, 2)
