@@ -197,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

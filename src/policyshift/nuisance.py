@@ -69,7 +69,7 @@ class LogisticModel:
 
 
 def fit_ridge(features: np.ndarray, y: np.ndarray, fmap: FeatureMap, ridge: float) -> RidgeModel:
-    """Exact solution of the ridge normal equations (intercept unpenalized)."""
+    """Exact solution of the ridge normal equations (intercept unpenalized); ``FitError`` if it is not finite."""
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     Phi = fmap.expand(features)
@@ -78,6 +78,8 @@ def fit_ridge(features: np.ndarray, y: np.ndarray, fmap: FeatureMap, ridge: floa
         raise FitError(f"need at least {k} rows to fit {k} coefficients, got {n}")
     A = Phi.T @ Phi + _penalty_matrix(k, ridge)
     beta = _solve_spd(A, Phi.T @ np.asarray(y, dtype=float), "ridge regression")
+    if not np.isfinite(beta).all():
+        raise FitError("ridge regression: the normal equations overflow; the outcomes or features are too large")
     return RidgeModel(beta=beta, fmap=fmap)
 
 

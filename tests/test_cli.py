@@ -3,6 +3,7 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,6 +202,45 @@ def test_errors_exit_nonzero(tmp_path, config_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["learn", "--data", str(tmp_path / "missing.csv"), "--out-policy", str(tmp_path / "p.json")]) == 2
     assert main(["table", "--config", config_path, "--reps", "2", "--methods", "direct,magic", "--out", str(tmp_path / "y.json")]) == 2
+
+
+def write_source_target_csv(path, source_outcomes, n_target):
+    rng = np.random.default_rng(0)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["g", "x1", "x2", "a", "y"])
+        writer.writerows([1, *rng.normal(size=2), i % 2, y] for i, y in enumerate(source_outcomes))
+        writer.writerows([0, *rng.normal(size=2), "", ""] for _ in range(n_target))
+
+
+def test_learn_and_estimate_refuse_outcomes_whose_ridge_fit_overflows(tmp_path, capsys):
+    data, policy = tmp_path / "data.csv", tmp_path / "policy.json"
+    out_policy, out = tmp_path / "learned.json", tmp_path / "est.json"
+    write_source_target_csv(data, np.random.default_rng(1).uniform(1e307, 1.7e308, size=100), 300)
+    policy.write_text(json.dumps({"theta": [0.0, 1.0, 0.0], "feature_map": "raw", "p_in": 2}), encoding="utf-8")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["learn", "--data", str(data), "--out-policy", str(out_policy)]) == 2
+        assert "overflow" in capsys.readouterr().err
+        assert main(["estimate", "--data", str(data), "--policy", str(policy), "--out", str(out)]) == 2
+        assert "overflow" in capsys.readouterr().err
+    assert not out_policy.exists() and not out.exists()
+
+
+def test_learn_reports_a_non_finite_policy_gradient_as_an_error(tmp_path, config_path, capsys, monkeypatch):
+    data, out = tmp_path / "data.csv", tmp_path / "policy.json"
+    assert main(["simulate", "--config", config_path, "--out-data", str(data)]) == 0
+    capsys.readouterr()
+
+    def huge_gains(*args):
+        coeffs = reward_coefficients(*args)
+        return replace(coeffs, a=np.full(coeffs.n, 1e308))  # finite gains whose batch gradient is not
+
+    reward_coefficients = cli.reward_coefficients
+    monkeypatch.setattr(cli, "reward_coefficients", huge_gains)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["learn", "--data", str(data), "--config", config_path, "--out-policy", str(out)]) == 2
+    assert capsys.readouterr().err == "error: non-finite policy gradient; check reward coefficients\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -72,6 +72,13 @@ def test_singular_system_advises_positive_ridge():
         fit_ridge(x, np.array([1.0, 2.0, 3.0]), FeatureMap("raw", 2), ridge=0.0)
 
 
+def test_ridge_refuses_normal_equations_that_overflow():
+    x = np.random.default_rng(0).normal(size=(100, 2))
+    y = np.random.default_rng(1).uniform(1e307, 1.7e308, size=100)  # finite, but their sum is not
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FitError, match="overflow"):
+        fit_ridge(x, y, FeatureMap("raw", 2), ridge=0.0)
+
+
 def test_outcome_fit_requires_enough_arm_rows():
     ds = two_domain_dataset([[0.0], [1.0], [2.0]], [1, 1, 0], [1.0, 2.0, 3.0], [[0.5], [1.5]])
     config = NuisanceConfig(outcome_map="raw", propensity_map="intercept", sampling_map="intercept")

@@ -1,4 +1,5 @@
 import functools
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from policyshift import (
     true_nuisances,
 )
 from policyshift.features import FEATURE_KINDS
+from policyshift import policy as policy_module
 from policyshift.policy import _ascend
 from policyshift.simulate import feature_transform
 from reference import stepwise_learner
@@ -344,6 +346,71 @@ def test_a_non_finite_set_fails_alone_across_groups():
         for j, (result, result_alone) in enumerate(zip(results, alone)):
             if (g, j) != (1, 1):
                 assert same_result(result, result_alone)
+
+
+def test_the_ascent_leaves_no_thread_behind_when_it_ends_or_every_set_dies():
+    groups = small_groups(np.random.default_rng(8), (3, 2))
+    before = threading.active_count()
+    _ascend(groups, LearnerConfig(max_epochs=6, batch_size=16))
+    assert threading.active_count() == before
+    dying = [([coeffs_from(np.full(60, np.nan)) for _ in coeffs], x, seed) for coeffs, x, seed in groups]
+    with np.errstate(invalid="ignore"):
+        stacked = _ascend(dying, LearnerConfig(max_epochs=50, batch_size=16))
+    assert all(isinstance(result, FloatingPointError) for results in stacked for result in results)
+    assert threading.active_count() == before
+
+
+def test_zero_epochs_start_no_thread(monkeypatch):
+    started = []
+    monkeypatch.setattr(policy_module.threading.Thread, "start", lambda self: started.append(self))
+    groups = small_groups(np.random.default_rng(9), (2,))
+    before = threading.active_count()
+    ((policy, trace), _) = _ascend(groups, LearnerConfig(max_epochs=0, batch_size=16))[0]
+    assert started == [] and threading.active_count() == before
+    assert np.array_equal(policy.theta, np.zeros(3)) and len(trace.objectives) == 1
+
+
+def test_an_error_while_stepping_stops_the_helper_thread(monkeypatch):
+    calls = []
+
+    def failing_sigmoid(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:  # the second batch of epoch 1
+            raise RuntimeError("sigmoid failed")
+        return sigmoid(*args, **kwargs)
+
+    sigmoid = policy_module.sigmoid
+    monkeypatch.setattr(policy_module, "sigmoid", failing_sigmoid)
+    groups = small_groups(np.random.default_rng(10), (3,))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="sigmoid failed"):
+        _ascend(groups, LearnerConfig(max_epochs=20, batch_size=16))
+    assert threading.active_count() == before
+
+
+def test_an_error_while_drawing_an_epoch_reaches_the_caller(monkeypatch):
+    class FailingGenerator:
+        def shuffle(self, rows):
+            raise RuntimeError("draw failed")
+
+    groups = small_groups(np.random.default_rng(11), (2,))
+    monkeypatch.setattr(policy_module.np.random, "default_rng", lambda seed: FailingGenerator())
+    before = threading.active_count()
+    raised = []
+
+    def run():
+        try:
+            _ascend(groups, LearnerConfig(max_epochs=5, batch_size=16))
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    # the ascent runs on a thread of its own, so a caller left waiting fails this test instead of hanging it
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in raised] == ["draw failed"]
+    assert threading.active_count() == before
 
 
 def test_a_misaligned_group_or_an_oversized_batch_fails_the_whole_ascent(monkeypatch):
