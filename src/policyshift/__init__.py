@@ -1,7 +1,7 @@
 """Policy evaluation and learning across a labeled source domain and a
 covariate-only target domain under covariate shift."""
 
-from .data import CombinedDataset, ingest_csv, require_valid, validate, write_csv
+from .data import CombinedDataset, ingest_csv, write_csv
 from .estimators import (
     BoundReport,
     RewardCoefficients,
@@ -82,7 +82,6 @@ __all__ = [
     "learn_policy",
     "paired_t_test",
     "population_reward",
-    "require_valid",
     "reward_coefficients",
     "run_replication",
     "run_sweep",
@@ -91,7 +90,6 @@ __all__ = [
     "sigmoid",
     "t_sf_two_sided",
     "true_nuisances",
-    "validate",
     "write_csv",
     "write_sweep_csv",
     "write_table_csv",

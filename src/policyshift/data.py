@@ -1,4 +1,4 @@
-"""Combined source/target dataset: construction, validation and CSV ingestion.
+"""Combined source/target dataset: its checked construction and CSV ingestion.
 
 A combined dataset stacks rows from two domains. Source rows (group 1) carry
 covariates, a binary treatment and a real outcome; target rows (group 0) carry
@@ -51,14 +51,48 @@ def json_option(section: str, key: str, value, default):
     return kind(value)
 
 
+# the most invariant violations one dataset error names
+_REPORTED = 8
+
+
+def _problems(X: np.ndarray, g: np.ndarray, a: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> list[str]:
+    """The first violations of each rule in turn, each naming its 0-based row; empty means well formed.
+
+    A row whose group is not 0 or 1 is in no domain: only its group and covariates are checked.
+    """
+    src, tgt = g == 1, g == 0
+    problems = [f"row {i}: group must be 0 or 1" for i in np.flatnonzero(~src & ~tgt)[:_REPORTED]]
+    if not src.any():
+        problems.append("source domain empty (no rows with group=1)")
+    if not tgt.any():
+        problems.append("target domain empty (no rows with group=0)")
+    a_absent, y_absent = np.isnan(a), np.isnan(y)
+    rules = (
+        (src & a_absent, "treatment missing where group=1"),
+        (src & y_absent, "outcome missing where group=1"),
+        (tgt & ~a_absent, "treatment present where group=0"),
+        (tgt & ~y_absent, "outcome present where group=0"),
+        (src & ~a_absent & (a != 0) & (a != 1), "treatment must be 0 or 1"),
+        (src & np.isinf(y), "outcome not finite"),
+    )
+    for rows, rule in rules:
+        problems += [f"row {i}: {rule}" for i in np.flatnonzero(rows)[:_REPORTED]]
+    for i, j in np.argwhere(~np.isfinite(X))[:_REPORTED]:
+        problems.append(f"row {i}, column {names[j]}: covariate not finite")
+    return problems
+
+
 @dataclass(frozen=True)
 class CombinedDataset:
     """Immutable row-wise storage for the two-domain design.
 
-    covariates: (n, p) real matrix
-    group:      (n,) ints in {0, 1}; 1 = source, 0 = target
+    covariates: (n, p) finite real matrix
+    group:      (n,) ints in {0, 1}; 1 = source, 0 = target; both occur
     treatment:  (n,) floats; 0/1 on source rows, NaN on target rows
-    outcome:    (n,) floats; real on source rows, NaN on target rows
+    outcome:    (n,) floats; finite on source rows, NaN on target rows
+
+    Construction refuses arrays that break this layout (a group value must
+    be exactly 0 or 1; bools are fine) with a ValueError naming up to 8 faults.
     """
 
     covariates: np.ndarray
@@ -71,16 +105,19 @@ class CombinedDataset:
         X = np.asarray(self.covariates, dtype=float)
         if X.ndim != 2:
             raise ValueError("covariates must be a 2-d matrix")
-        g = np.asarray(self.group, dtype=int)
+        g = np.asarray(self.group, dtype=float)  # exact for 0 and 1, so a fraction cannot pass as either
         a = np.asarray(self.treatment, dtype=float)
         y = np.asarray(self.outcome, dtype=float)
-        if not (len(g) == len(a) == len(y) == X.shape[0]):
-            raise ValueError("covariates, group, treatment and outcome must share one length")
+        if not (g.shape == a.shape == y.shape == X.shape[:1]):
+            raise ValueError("group, treatment and outcome must be vectors with one entry per covariate row")
         names = self.covariate_names or tuple(f"x{j + 1}" for j in range(X.shape[1]))
         if len(names) != X.shape[1]:
             raise ValueError("covariate_names length must match covariate columns")
+        problems = _problems(X, g, a, y, names)
+        if problems:
+            raise ValueError("invalid dataset: " + "; ".join(problems[:_REPORTED]))
         object.__setattr__(self, "covariates", _readonly(X))
-        object.__setattr__(self, "group", _readonly(g))
+        object.__setattr__(self, "group", _readonly(g.astype(int)))
         object.__setattr__(self, "treatment", _readonly(a))
         object.__setattr__(self, "outcome", _readonly(y))
         object.__setattr__(self, "covariate_names", tuple(names))
@@ -113,46 +150,6 @@ class CombinedDataset:
     def source_fraction(self) -> float:
         """Empirical probability of a row belonging to the source domain."""
         return self.n_source / self.n
-
-
-def validate(dataset: CombinedDataset) -> list[str]:
-    """Return a list of invariant violations; empty means well formed.
-
-    Each entry names the failing row (0-based) and the rule.
-    """
-    problems: list[str] = []
-    g = dataset.group
-    bad_group = np.flatnonzero((g != 0) & (g != 1))
-    problems += [f"row {i}: group must be 0 or 1" for i in bad_group]
-    if dataset.n_source == 0:
-        problems.append("source domain empty (no rows with group=1)")
-    if dataset.n_target == 0:
-        problems.append("target domain empty (no rows with group=0)")
-
-    a, y = dataset.treatment, dataset.outcome
-    src, tgt = g == 1, g == 0
-    problems += [f"row {i}: treatment missing where group=1" for i in np.flatnonzero(src & np.isnan(a))]
-    problems += [f"row {i}: outcome missing where group=1" for i in np.flatnonzero(src & np.isnan(y))]
-    problems += [f"row {i}: treatment present where group=0" for i in np.flatnonzero(tgt & ~np.isnan(a))]
-    problems += [f"row {i}: outcome present where group=0" for i in np.flatnonzero(tgt & ~np.isnan(y))]
-    with np.errstate(invalid="ignore"):
-        bad_arm = src & ~np.isnan(a) & (a != 0) & (a != 1)
-    problems += [f"row {i}: treatment must be 0 or 1" for i in np.flatnonzero(bad_arm)]
-    problems += [
-        f"row {i}: outcome not finite" for i in np.flatnonzero(src & ~np.isnan(y) & ~np.isfinite(y))
-    ]
-
-    bad_cov = ~np.isfinite(dataset.covariates)
-    for i, j in zip(*np.nonzero(bad_cov)):
-        problems.append(f"row {i}, column {dataset.covariate_names[j]}: covariate not finite")
-    return problems
-
-
-def require_valid(dataset: CombinedDataset) -> CombinedDataset:
-    problems = validate(dataset)
-    if problems:
-        raise ValueError("invalid dataset: " + "; ".join(problems[:8]))
-    return dataset
 
 
 # the reserved CSV columns; every other column is a covariate
@@ -205,12 +202,12 @@ def _convert_block(rows: list[list[str]], header: list[str], numeric: list[str])
 
 
 def ingest_csv(path: str | Path) -> CombinedDataset:
-    """Read and validate a combined dataset from a CSV file.
+    """Read a combined dataset from a CSV file; construction checks its layout.
 
     The columns ``g`` (group), ``a`` (treatment) and ``y`` (outcome) are
     reserved, and every other column is a covariate, in header order. ``g``
     is required; ``a`` and ``y`` are optional (a file with neither describes a
-    pure target-domain extract and will fail validation if it has source rows).
+    pure target-domain extract and is refused if it has source rows).
     Empty cells mean absent; the group column must hold literal 0 or 1. Rows
     are converted a block at a time, column by column; an error names the
     first faulty row and, within it, the first faulty cell.
@@ -260,14 +257,13 @@ def ingest_csv(path: str | Path) -> CombinedDataset:
         raise ValueError(f"{path}: no data rows")
     table = np.concatenate(values)
     absent = np.full(len(table), np.nan)
-    dataset = CombinedDataset(
+    return CombinedDataset(
         covariates=table[:, : len(cov_names)],
         group=np.concatenate(groups),
         treatment=table[:, numeric.index(TREATMENT)] if TREATMENT in numeric else absent,
         outcome=table[:, numeric.index(OUTCOME)] if OUTCOME in numeric else absent,
         covariate_names=tuple(cov_names),
     )
-    return require_valid(dataset)
 
 
 def _cells(values: list, integral: bool) -> list[str]:

@@ -92,10 +92,17 @@ _SUPPORTED = {("direct", "r"), ("ipw", "r"), ("se", "r"), ("se", "v")}
 def reward_coefficients(
     dataset: CombinedDataset, nuisances: NuisanceSet, kind: str, estimand: str = "r"
 ) -> RewardCoefficients:
-    """Coefficients (a, b) of estimator ``kind`` (direct, ipw or se) for ``estimand`` r, or se for v."""
+    """Coefficients (a, b) of estimator ``kind`` (direct, ipw or se) for ``estimand`` r, or se for v.
+
+    An entry of ``a`` or ``b`` that overflows raises ``FloatingPointError`` instead of a warning.
+    """
     if (kind, estimand) not in _SUPPORTED:
         raise ValueError(f"no estimator for kind={kind!r}, estimand={estimand!r}")
-    return _coefficients(dataset, nuisances, kind, estimand)
+    with np.errstate(all="ignore"):
+        coeffs = _coefficients(dataset, nuisances, kind, estimand)
+    if not (np.isfinite(coeffs.a).all() and np.isfinite(coeffs.b).all()):
+        raise FloatingPointError(f"{kind} reward coefficients for {estimand} overflow; rescale the outcomes")
+    return coeffs
 
 
 def _policy_values(policy_values: np.ndarray, n: int) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from .data import json_option
 from .estimators import bias_diagnostic, estimate, reward_coefficients
 from .estimators import generalization_bound  # noqa: F401 -- perfbench/tracer.py wraps harness.generalization_bound by name
-from .nuisance import FitError, NuisanceConfig, fit_nuisances
+from .nuisance import NuisanceConfig, fit_nuisances
 from .policy import LearnerConfig, LinearPolicy, _ascend
 from .policy import learn_policy  # noqa: F401 -- perfbench/tracer.py wraps harness.learn_policy by name
 from .simulate import SimConfig, SimulatedData, generate, shift_sweep_config
@@ -139,7 +139,7 @@ def _stage(config: ExperimentConfig, replication: int, methods: tuple[str, ...])
         nuisances = fit_nuisances(sim.dataset, config.nuisance)
         # a cross-fitted set fits its full-data models here, on first use
         record["nuisance_coefficients"] = nuisances.coefficients()
-    except (FitError, ValueError, np.linalg.LinAlgError) as exc:
+    except ValueError as exc:
         record.update(_failure(exc))
         return record, None
 
@@ -148,7 +148,7 @@ def _stage(config: ExperimentConfig, replication: int, methods: tuple[str, ...])
     for method in methods:
         try:
             coeffs[method] = reward_coefficients(sim.dataset, nuisances, method, "r")
-        except (FitError, ValueError, FloatingPointError) as exc:
+        except (ValueError, FloatingPointError) as exc:
             coeffs[method] = exc
     return record, (sim, nuisances, coeffs)
 
@@ -198,7 +198,7 @@ def _evaluate(stage: tuple, method: str, outcome, welfare_scope: str) -> dict:
         decisions = policy.decide(sim.dataset.covariates)
         est = estimate(coeffs[method], decisions)
         diag = bias_diagnostic(sim.dataset, sim.truth, nuisances, decisions)
-    except (FitError, ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError) as exc:
         return _failure(exc)
     return {
         "metrics": asdict(metrics),
@@ -282,10 +282,6 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-    def metric_series(self, method: str, metric: str) -> np.ndarray:
-        (values,) = _series(self.replications, method, ("metrics", metric))
-        return values
 
 
 def run_table(

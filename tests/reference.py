@@ -8,7 +8,8 @@ population-reward reference draws its points anew on every call, builds
 them and the surfaces as whole arrays, and forms the reward with one
 temporary per operation; the expansion reference stacks its columns. The
 surface oracle decides straight from the generator's outcome surfaces. The
-CSV reference reads a combined dataset one row at a time, cell by cell.
+CSV reference reads a combined dataset one row at a time, cell by cell, and
+the layout reference lists a dataset's faults one cell at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from policyshift import CombinedDataset, FeatureMap, NuisanceSet
-from policyshift.data import GROUP, OUTCOME, TREATMENT, require_valid
+from policyshift.data import GROUP, OUTCOME, TREATMENT
 from policyshift.simulate import outcome_surface_control, outcome_surface_treated
 
 
@@ -291,11 +292,51 @@ def ingest_reference(path) -> CombinedDataset:
 
     if not rows_g:
         raise ValueError(f"{path}: no data rows")
-    dataset = CombinedDataset(
+    return CombinedDataset(
         covariates=np.array(rows_x, dtype=float),
         group=np.array(rows_g, dtype=int),
         treatment=np.array(rows_a, dtype=float),
         outcome=np.array(rows_y, dtype=float),
         covariate_names=tuple(cov_names),
     )
-    return require_valid(dataset)
+
+
+def dataset_problems_reference(covariates, group, treatment, outcome, names) -> list[str]:
+    """Every layout violation of a dataset's cells, one scalar check at a time.
+
+    Rule by rule, each rule's rows in order: the group (exactly 0 or 1), the
+    two domains being non-empty, the source cells (treatment and outcome
+    present, treatment 0 or 1, outcome not infinite), the target cells
+    (treatment and outcome absent), then the non-finite covariates row by
+    row. A row of any other group belongs to no domain. Empty means well formed.
+    """
+    g = [float(v) for v in group]
+    a = [float(v) for v in treatment]
+    y = [float(v) for v in outcome]
+    rows = range(len(g))
+
+    def rule(message, broken):
+        return [f"row {i}: {message}" for i in rows if broken(i)]
+
+    def src(i):
+        return g[i] == 1.0
+
+    def tgt(i):
+        return g[i] == 0.0
+
+    problems = rule("group must be 0 or 1", lambda i: not (src(i) or tgt(i)))
+    if not any(src(i) for i in rows):
+        problems.append("source domain empty (no rows with group=1)")
+    if not any(tgt(i) for i in rows):
+        problems.append("target domain empty (no rows with group=0)")
+    problems += rule("treatment missing where group=1", lambda i: src(i) and math.isnan(a[i]))
+    problems += rule("outcome missing where group=1", lambda i: src(i) and math.isnan(y[i]))
+    problems += rule("treatment present where group=0", lambda i: tgt(i) and not math.isnan(a[i]))
+    problems += rule("outcome present where group=0", lambda i: tgt(i) and not math.isnan(y[i]))
+    problems += rule("treatment must be 0 or 1", lambda i: src(i) and not math.isnan(a[i]) and a[i] not in (0.0, 1.0))
+    problems += rule("outcome not finite", lambda i: src(i) and math.isinf(y[i]))
+    for i in rows:
+        for j, name in enumerate(names):
+            if not math.isfinite(float(covariates[i][j])):
+                problems.append(f"row {i}, column {name}: covariate not finite")
+    return problems

@@ -3,6 +3,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -223,6 +224,21 @@ def test_learn_and_estimate_refuse_outcomes_whose_ridge_fit_overflows(tmp_path, 
         assert "overflow" in capsys.readouterr().err
         assert main(["estimate", "--data", str(data), "--policy", str(policy), "--out", str(out)]) == 2
         assert "overflow" in capsys.readouterr().err
+    assert not out_policy.exists() and not out.exists()
+
+
+def test_learn_and_estimate_refuse_outcomes_whose_se_coefficients_overflow(tmp_path, capsys):
+    data, policy = tmp_path / "data.csv", tmp_path / "policy.json"
+    out_policy, out = tmp_path / "learned.json", tmp_path / "est.json"
+    write_source_target_csv(data, 1e307 * np.random.default_rng(1).normal(size=100), 300)
+    policy.write_text(json.dumps({"theta": [0.0, 1.0, 0.0], "feature_map": "raw", "p_in": 2}), encoding="utf-8")
+    error = "error: se reward coefficients for r overflow; rescale the outcomes\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        assert main(["learn", "--data", str(data), "--out-policy", str(out_policy)]) == 2
+        assert capsys.readouterr().err == error
+        assert main(["estimate", "--data", str(data), "--policy", str(policy), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == error
     assert not out_policy.exists() and not out.exists()
 
 

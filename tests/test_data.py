@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import tracemalloc
 from unittest import mock
 
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from policyshift import CombinedDataset, generate, ingest_csv, validate, write_csv
+from policyshift import CombinedDataset, generate, ingest_csv, write_csv
 from policyshift import data
 from policyshift.simulate import SimConfig
 
-from reference import ingest_reference
+from reference import dataset_problems_reference, ingest_reference
 
 
 def make_dataset(group, treatment, outcome, x=None):
@@ -23,25 +24,24 @@ def make_dataset(group, treatment, outcome, x=None):
 
 def test_well_formed_dataset_has_no_violations():
     ds = make_dataset([1, 1, 0, 0], [1, 0, np.nan, np.nan], [2.0, 1.0, np.nan, np.nan])
-    assert validate(ds) == []
     assert ds.n_source == 2 and ds.n_target == 2
     assert ds.source_fraction == 0.5
 
 
 def test_outcome_on_target_row_is_flagged():
-    ds = make_dataset([1, 0], [1, np.nan], [2.0, 3.0])
-    problems = validate(ds)
-    assert any("outcome present where group=0" in p and "row 1" in p for p in problems)
+    with pytest.raises(ValueError, match="^invalid dataset: row 1: outcome present where group=0$"):
+        make_dataset([1, 0], [1, np.nan], [2.0, 3.0])
 
 
 def test_empty_source_domain_is_flagged():
-    ds = make_dataset([0, 0], [np.nan, np.nan], [np.nan, np.nan])
-    assert any("source domain empty" in p for p in validate(ds))
+    with pytest.raises(ValueError, match="^invalid dataset: source domain empty"):
+        make_dataset([0, 0], [np.nan, np.nan], [np.nan, np.nan])
 
 
 def test_missing_source_cells_and_bad_arm_flagged():
-    ds = make_dataset([1, 1, 0], [np.nan, 2.0, np.nan], [1.0, np.nan, np.nan])
-    problems = "\n".join(validate(ds))
+    with pytest.raises(ValueError) as raised:
+        make_dataset([1, 1, 0], [np.nan, 2.0, np.nan], [1.0, np.nan, np.nan])
+    problems = str(raised.value)
     assert "row 0: treatment missing" in problems
     assert "row 1: outcome missing" in problems
     assert "row 1: treatment must be 0 or 1" in problems
@@ -49,8 +49,84 @@ def test_missing_source_cells_and_bad_arm_flagged():
 
 def test_nonfinite_covariate_flagged_with_column_name():
     x = np.array([[1.0, np.inf], [0.0, 1.0]])
-    ds = make_dataset([1, 0], [1.0, np.nan], [2.0, np.nan], x=x)
-    assert any("row 0, column x2: covariate not finite" in p for p in validate(ds))
+    with pytest.raises(ValueError, match="row 0, column x2: covariate not finite"):
+        make_dataset([1, 0], [1.0, np.nan], [2.0, np.nan], x=x)
+
+
+@pytest.mark.parametrize("group, treatment, outcome", [(1.9, 0.0, 1.0), (0.7, np.nan, np.nan)])
+def test_a_fractional_group_is_refused_not_truncated(group, treatment, outcome):
+    with pytest.raises(ValueError, match="^invalid dataset: row 2: group must be 0 or 1$"):
+        make_dataset([1, 0, group], [1.0, np.nan, treatment], [2.0, np.nan, outcome])
+
+
+def test_boolean_groups_are_legal():
+    ds = make_dataset([True, False, True], [1.0, np.nan, 0.0], [2.0, np.nan, 1.0])
+    assert ds.group.tolist() == [1, 0, 1] and ds.group.dtype == int
+
+
+def test_a_nan_covariate_fails_at_construction_not_in_the_ridge_fit():
+    sim = generate(SimConfig(n_source=40, n_target=60, seed=3))
+    x = sim.dataset.covariates.copy()
+    x[7, 1] = np.nan
+    with pytest.raises(ValueError, match="^invalid dataset: row 7, column x2: covariate not finite$"):
+        CombinedDataset(x, sim.dataset.group, sim.dataset.treatment, sim.dataset.outcome)
+
+
+def test_a_dataset_error_names_at_most_eight_problems():
+    with pytest.raises(ValueError) as raised:
+        make_dataset([1] * 10 + [0], [np.nan] * 11, [1.0] * 10 + [np.nan])
+    assert str(raised.value) == "invalid dataset: " + "; ".join(f"row {i}: treatment missing where group=1" for i in range(8))
+
+
+@pytest.mark.parametrize("column", ["group", "treatment", "outcome"])
+@pytest.mark.parametrize("shape", [(3, 1), (2,)])
+def test_group_treatment_and_outcome_must_be_vectors_of_one_entry_per_row(column, shape):
+    cells = {"group": [1, 0, 0], "treatment": [1.0, np.nan, np.nan], "outcome": [2.0, np.nan, np.nan]}
+    cells[column] = np.resize(np.asarray(cells[column]), shape)
+    with pytest.raises(ValueError, match="^group, treatment and outcome must be vectors with one entry per covariate row$"):
+        CombinedDataset(np.zeros((3, 1)), **cells)
+
+
+GROUPS, GROUP_FAULTS = (0, 1, True, False), (0.7, 1.9, 2)
+NUMBER_FAULTS = (np.nan, np.inf, -np.inf, 0.5, 2.0)
+
+
+@st.composite
+def dataset_cells(draw):
+    """Small arrays in the combined layout for their drawn groups, with up to 3 cells replaced by faults."""
+    n, p = draw(st.integers(1, 6)), draw(st.integers(1, 2))
+    group = draw(st.lists(st.sampled_from(GROUPS), min_size=n, max_size=n))
+    treatment = [draw(st.sampled_from((0.0, 1.0))) if g == 1 else np.nan for g in group]
+    outcome = [draw(st.floats(-5, 5)) if g == 1 else np.nan for g in group]
+    x = draw(st.lists(st.lists(st.floats(-5, 5), min_size=p, max_size=p), min_size=n, max_size=n))
+    for cell in draw(st.sets(st.integers(0, n * (p + 3) - 1), max_size=3)):
+        row, column = divmod(cell, p + 3)
+        cells = [group, treatment, outcome][column] if column < 3 else x[row]
+        cells[row if column < 3 else column - 3] = draw(st.sampled_from(GROUP_FAULTS if column == 0 else NUMBER_FAULTS))
+    return group, treatment, outcome, np.array(x, dtype=float).reshape(n, p)
+
+
+@given(cells=dataset_cells())
+@settings(max_examples=300, deadline=None)
+def test_construction_builds_exactly_the_well_formed_layouts(cells):
+    group, treatment, outcome, x = cells
+    names = tuple(f"x{j + 1}" for j in range(x.shape[1]))
+    expected = dataset_problems_reference(x, group, treatment, outcome, names)
+    if not expected:
+        ds = CombinedDataset(x, group, treatment, outcome)
+        assert dataset_problems_reference(ds.covariates, ds.group, ds.treatment, ds.outcome, names) == []
+        assert ds.group.tolist() == [int(g) for g in group]
+        np.testing.assert_array_equal(ds.covariates, x)
+        np.testing.assert_array_equal(ds.treatment, treatment)
+        np.testing.assert_array_equal(ds.outcome, outcome)
+        return
+    with pytest.raises(ValueError) as raised:
+        CombinedDataset(x, group, treatment, outcome)
+    message = str(raised.value)
+    assert message == "invalid dataset: " + "; ".join(expected[:8])
+    faulty_rows = [int(row) for row in re.findall(r"row (\d+)", "; ".join(expected))]
+    if faulty_rows:
+        assert re.search(rf"row {min(faulty_rows)}\b", message)
 
 
 def test_source_fraction_is_exact_ratio():

@@ -178,7 +178,7 @@ def test_shared_learner_errors_are_recorded_for_every_method(monkeypatch):
 def test_run_table_aggregates_are_recomputable():
     report = run_table(small_config(seed=9), replications=3)
     for method in report.methods:
-        series = report.metric_series(method, "true_reward")
+        (series,) = harness._series(report.replications, method, ("metrics", "true_reward"))
         assert len(series) == report.completed[method] == 3
         agg = report.aggregates[method]["true_reward"]
         assert agg["mean"] == pytest.approx(float(series.mean()), rel=0, abs=0)

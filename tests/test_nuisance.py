@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -377,6 +377,7 @@ def test_crossfit_folds_are_stratified():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_crossfit_folds_balance_every_stratum(treated, control, target, folds, seed):
+    assume(treated + control > 0)  # a dataset has a source row
     treatment = np.array([1.0] * treated + [0.0] * control + [np.nan] * target)
     perm = np.random.default_rng(seed).permutation(len(treatment))
     group = np.isfinite(treatment).astype(int)

@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "learn_policy",
     "paired_t_test",
     "population_reward",
-    "require_valid",
     "reward_coefficients",
     "run_replication",
     "run_sweep",
@@ -49,7 +48,6 @@ PUBLIC_NAMES = [
     "sigmoid",
     "t_sf_two_sided",
     "true_nuisances",
-    "validate",
     "write_csv",
     "write_sweep_csv",
     "write_table_csv",
