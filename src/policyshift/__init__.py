@@ -3,9 +3,7 @@ covariate-only target domain under covariate shift."""
 
 from .data import CombinedDataset, ingest_csv, write_csv
 from .estimators import (
-    BoundReport,
     RewardCoefficients,
-    RewardEstimate,
     bias_diagnostic,
     estimate,
     generalization_bound,
@@ -13,7 +11,6 @@ from .estimators import (
 )
 from .features import FeatureMap, sigmoid
 from .harness import (
-    EvalMetrics,
     ExperimentConfig,
     ExperimentReport,
     evaluate_policy,
@@ -25,18 +22,15 @@ from .harness import (
 )
 from .nuisance import (
     FitError,
-    LogisticModel,
     NuisanceConfig,
     NuisanceSet,
-    RidgeModel,
     fit_logistic,
     fit_nuisances,
     fit_ridge,
 )
-from .policy import LearnerConfig, LinearPolicy, TrainingTrace, learn_policy
+from .policy import LearnerConfig, LinearPolicy, learn_policy
 from .simulate import (
     SimConfig,
-    SimulatedData,
     feature_transform,
     generate,
     population_reward,
@@ -44,30 +38,22 @@ from .simulate import (
     true_nuisances,
     write_truth_csv,
 )
-from .stats import PairedTTest, betainc, paired_t_test, t_sf_two_sided
+from .stats import betainc, paired_t_test, t_sf_two_sided
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
     "CombinedDataset",
-    "EvalMetrics",
     "ExperimentConfig",
     "ExperimentReport",
     "FeatureMap",
     "FitError",
     "LearnerConfig",
     "LinearPolicy",
-    "LogisticModel",
     "NuisanceConfig",
     "NuisanceSet",
-    "PairedTTest",
     "RewardCoefficients",
-    "RewardEstimate",
-    "RidgeModel",
     "SimConfig",
-    "SimulatedData",
-    "TrainingTrace",
     "betainc",
     "bias_diagnostic",
     "estimate",

@@ -130,6 +130,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     payload = json.loads(Path(args.policy).read_text(encoding="utf-8"))
     policy = LinearPolicy.from_dict(payload["policy"] if type(payload) is dict and "policy" in payload else payload)
     dataset = ingest_csv(args.data)
+    if policy.fmap.p_in != dataset.p:
+        raise ValueError(f"the policy takes {policy.fmap.p_in} covariates, but {args.data} has {dataset.p}")
     nuisances = fit_nuisances(dataset, config.nuisance)
     coeffs = reward_coefficients(dataset, nuisances, args.method, args.estimand)
     result = estimate_reward(coeffs, policy.decide(dataset.covariates))

@@ -54,6 +54,9 @@ def json_option(section: str, key: str, value, default):
 # the most invariant violations one dataset error names
 _REPORTED = 8
 
+# the reserved CSV columns; every other column is a covariate
+GROUP, TREATMENT, OUTCOME = "g", "a", "y"
+
 
 def _problems(X: np.ndarray, g: np.ndarray, a: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> list[str]:
     """The first violations of each rule in turn, each naming its 0-based row; empty means well formed.
@@ -86,13 +89,16 @@ def _problems(X: np.ndarray, g: np.ndarray, a: np.ndarray, y: np.ndarray, names:
 class CombinedDataset:
     """Immutable row-wise storage for the two-domain design.
 
-    covariates: (n, p) finite real matrix
+    covariates: (n, p) finite real matrix, p >= 1
     group:      (n,) ints in {0, 1}; 1 = source, 0 = target; both occur
     treatment:  (n,) floats; 0/1 on source rows, NaN on target rows
     outcome:    (n,) floats; finite on source rows, NaN on target rows
 
     Construction refuses arrays that break this layout (a group value must
     be exactly 0 or 1; bools are fine) with a ValueError naming up to 8 faults.
+    Covariate names (default ``x1``, ``x2``, ...) must be distinct strings
+    other than the reserved CSV columns ``g``, ``a`` and ``y``, so that
+    ``write_csv`` writes a file that ``ingest_csv`` reads back.
     """
 
     covariates: np.ndarray
@@ -113,6 +119,13 @@ class CombinedDataset:
         names = self.covariate_names or tuple(f"x{j + 1}" for j in range(X.shape[1]))
         if len(names) != X.shape[1]:
             raise ValueError("covariate_names length must match covariate columns")
+        if not names:
+            raise ValueError("a dataset needs at least one covariate column")
+        if not all(isinstance(name, str) for name in names) or len(set(names)) < len(names):
+            raise ValueError(f"covariate names must be distinct strings, got {names!r}")
+        reserved = sorted({GROUP, TREATMENT, OUTCOME}.intersection(names))
+        if reserved:
+            raise ValueError(f"covariate names {reserved} are reserved for the group, treatment and outcome columns")
         problems = _problems(X, g, a, y, names)
         if problems:
             raise ValueError("invalid dataset: " + "; ".join(problems[:_REPORTED]))
@@ -151,9 +164,6 @@ class CombinedDataset:
         """Empirical probability of a row belonging to the source domain."""
         return self.n_source / self.n
 
-
-# the reserved CSV columns; every other column is a covariate
-GROUP, TREATMENT, OUTCOME = "g", "a", "y"
 
 # rows read, converted and written together; bounds the cell strings held at once
 _BLOCK_ROWS = 4096
@@ -220,6 +230,8 @@ def ingest_csv(path: str | Path) -> CombinedDataset:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
+        except csv.Error as exc:  # not a ValueError, so name its line in one
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         duplicated = [c for c in dict.fromkeys(header) if header.count(c) > 1]
         if duplicated:
             raise ValueError(f"{path}: duplicated header columns {duplicated}")
@@ -239,8 +251,10 @@ def ingest_csv(path: str | Path) -> CombinedDataset:
             rows: list[list[str]] = []
             try:
                 rows.extend(itertools.islice(reader, _BLOCK_ROWS))
-            except (csv.Error, UnicodeDecodeError):
+            except (csv.Error, UnicodeDecodeError) as exc:
                 _raise_first_fault(rows, line, header, numeric)  # rows read before the bad one come first
+                if isinstance(exc, csv.Error):
+                    raise ValueError(f"line {reader.line_num}: {exc}") from None
                 raise
             if not rows:
                 break

@@ -188,7 +188,7 @@ def generalization_bound(
         raise ValueError("eta must lie in (0, 1)")
     if policy_class_size < 1:
         raise ValueError("policy_class_size must be >= 1")
-    residuals = _coefficients(dataset, nuisances, "se", "r").a[dataset.source_mask]
+    residuals = reward_coefficients(dataset, nuisances, "se", "r").a[dataset.source_mask]
     n = dataset.n
     term = float(np.sqrt(np.log(2.0 * policy_class_size / eta) / (2.0 * n * n) * np.sum(residuals**2)))
     return BoundReport(eta=eta, policy_class_size=policy_class_size, bound_term=term, bias_diagnostic=bias)

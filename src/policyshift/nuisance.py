@@ -47,28 +47,23 @@ def _solve_spd(A: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RidgeModel:
-    """Linear predictor over a feature map; callable on covariates."""
+class LinearModel:
+    """Linear predictor ``features @ beta`` over a feature map; callable on covariates.
+
+    With ``logistic`` set it predicts ``sigmoid(features @ beta)``. The link is
+    the fitter's choice: ``fit_ridge`` returns it plain, ``fit_logistic`` sets it.
+    """
 
     beta: np.ndarray
     fmap: FeatureMap
+    logistic: bool = False
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.fmap.expand(x) @ self.beta
+        eta = self.fmap.expand(x) @ self.beta
+        return sigmoid(eta) if self.logistic else eta
 
 
-@dataclass(frozen=True)
-class LogisticModel:
-    """Probability predictor sigmoid(features @ beta); callable on covariates."""
-
-    beta: np.ndarray
-    fmap: FeatureMap
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return sigmoid(self.fmap.expand(x) @ self.beta)
-
-
-def fit_ridge(features: np.ndarray, y: np.ndarray, fmap: FeatureMap, ridge: float) -> RidgeModel:
+def fit_ridge(features: np.ndarray, y: np.ndarray, fmap: FeatureMap, ridge: float) -> LinearModel:
     """Exact solution of the ridge normal equations (intercept unpenalized); ``FitError`` if it is not finite."""
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
@@ -80,7 +75,7 @@ def fit_ridge(features: np.ndarray, y: np.ndarray, fmap: FeatureMap, ridge: floa
     beta = _solve_spd(A, Phi.T @ np.asarray(y, dtype=float), "ridge regression")
     if not np.isfinite(beta).all():
         raise FitError("ridge regression: the normal equations overflow; the outcomes or features are too large")
-    return RidgeModel(beta=beta, fmap=fmap)
+    return LinearModel(beta=beta, fmap=fmap)
 
 
 def _penalized_loglik(eta: np.ndarray, y: np.ndarray, beta: np.ndarray, ridge: float) -> float:
@@ -96,7 +91,7 @@ def fit_logistic(
     fmap: FeatureMap,
     ridge: float = DEFAULT_LOGISTIC_RIDGE,
     trace: list | None = None,
-) -> LogisticModel:
+) -> LinearModel:
     """Maximize the ridge-penalized Bernoulli log-likelihood by IRLS.
 
     Newton steps are halved whenever the penalized log-likelihood would
@@ -133,7 +128,7 @@ def fit_logistic(
             if new_obj >= obj - 1e-12:
                 break
             if scale < 1e-8:
-                return LogisticModel(beta=beta, fmap=fmap)  # every step goes downhill
+                return LinearModel(beta=beta, fmap=fmap, logistic=True)  # every step goes downhill
             scale *= 0.5
         delta = float(np.max(np.abs(scale * step)))
         # the accepted candidate is the next beta, so its predictor serves the next iteration
@@ -144,7 +139,7 @@ def fit_logistic(
             raise FitError("logistic coefficients diverged (separated data); use a positive ridge")
         if delta < IRLS_TOL:
             break
-    return LogisticModel(beta=beta, fmap=fmap)
+    return LinearModel(beta=beta, fmap=fmap, logistic=True)
 
 
 Predictor = Callable[[np.ndarray], np.ndarray]

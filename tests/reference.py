@@ -250,6 +250,14 @@ def _parse_cell_reference(raw: str, line: int, column: str) -> float:
         raise ValueError(f"line {line}, column {column}: cannot parse {raw!r} as a number") from None
 
 
+def _records(reader):
+    """The reader's records; a record the csv module cannot read raises ValueError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+
+
 def ingest_reference(path) -> CombinedDataset:
     """A combined dataset read from CSV one row at a time: each row's cell
     count, then its group, covariates in header order, treatment and outcome,
@@ -261,6 +269,8 @@ def ingest_reference(path) -> CombinedDataset:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         duplicated = [c for c in dict.fromkeys(header) if header.count(c) > 1]
         if duplicated:
             raise ValueError(f"{path}: duplicated header columns {duplicated}")
@@ -277,7 +287,7 @@ def ingest_reference(path) -> CombinedDataset:
         rows_g: list[int] = []
         rows_a: list[float] = []
         rows_y: list[float] = []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(_records(reader), start=2):
             if len(row) != len(header):
                 raise ValueError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
             g_raw = row[idx[GROUP]]

@@ -176,6 +176,31 @@ def test_estimate_refuses_a_policy_value_of_the_wrong_json_type_before_reading_t
     assert not out.exists()
 
 
+def test_estimate_refuses_a_policy_of_the_wrong_width_before_any_nuisance_fit(tmp_path, config_path, capsys, monkeypatch):
+    data, policy, out = tmp_path / "data.csv", tmp_path / "policy.json", tmp_path / "est.json"
+    assert main(["simulate", "--config", config_path, "--out-data", str(data)]) == 0
+    capsys.readouterr()
+    policy.write_text(json.dumps({"theta": [0.0, 1.0, 0.0], "feature_map": "raw", "p_in": 2}), encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_nuisances was called")
+
+    monkeypatch.setattr(cli, "fit_nuisances", refuse)
+    assert main(["estimate", "--data", str(data), "--policy", str(policy), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: the policy takes 2 covariates, but {data} has 3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header, row", [(f"x{'9' * 200_000},g,a,y", "1.0,1,1,2.5"), ("x1,g,a,y", f"1.0,1,1,{'9' * 200_000}")], ids=["header", "row"])
+def test_learn_reports_a_field_beyond_the_csv_limit_as_an_error(tmp_path, capsys, header, row):
+    data, out = tmp_path / "data.csv", tmp_path / "policy.json"
+    data.write_text(f"{header}\n{row}\n2.0,0,,\n", encoding="utf-8")
+    assert main(["learn", "--data", str(data), "--out-policy", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "field larger than field limit (131072)" in err
+    assert not out.exists()
+
+
 def test_learn_refuses_a_csv_without_a_covariate_column(tmp_path, capsys):
     data, out = tmp_path / "data.csv", tmp_path / "policy.json"
     data.write_text("g,a,y\n1,1,2.5\n1,0,1.5\n0,,\n", encoding="utf-8")

@@ -230,6 +230,45 @@ def test_ingest_rejects_duplicated_group_header(tmp_path):
         ingest_csv(path)
 
 
+NAN = np.nan
+
+
+@pytest.mark.parametrize(
+    "x, names, message",
+    [
+        (np.zeros((2, 2)), ("y", "x1"), r"covariate names \['y'\] are reserved"),
+        (np.zeros((2, 2)), ("g", "x1"), r"covariate names \['g'\] are reserved"),
+        (np.zeros((2, 2)), ("a", "x1"), r"covariate names \['a'\] are reserved"),
+        (np.zeros((2, 2)), ("x1", "x1"), "covariate names must be distinct strings"),
+        (np.zeros((2, 2)), (1, "x1"), "covariate names must be distinct strings"),
+        (np.zeros((2, 0)), (), "at least one covariate column"),
+    ],
+    ids=["y", "g", "a", "repeated", "not-a-string", "no-covariate"],
+)
+def test_construction_refuses_a_layout_that_write_csv_could_not_read_back(x, names, message):
+    with pytest.raises(ValueError, match=message):
+        CombinedDataset(x, [1, 0], [1.0, NAN], [2.0, NAN], covariate_names=names)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(names=st.lists(st.sampled_from(["x1", "x2", "g", "a", "y", "G", " a"]), min_size=0, max_size=3))
+def test_every_dataset_that_builds_survives_the_csv_round_trip(tmp_path, names):
+    x = np.arange(2.0 * len(names)).reshape(2, len(names)) - 0.5
+    try:
+        dataset = CombinedDataset(x, [1, 0], [1.0, NAN], [2.0, NAN], covariate_names=tuple(names))
+    except ValueError:
+        assert not names or len(set(names)) < len(names) or {"g", "a", "y"} & set(names)
+        return
+    path = tmp_path / "rt.csv"
+    write_csv(dataset, path)
+    back = ingest_csv(path)
+    assert back.covariate_names == dataset.covariate_names == tuple(names)
+    for name in ("covariates", "group", "treatment", "outcome"):
+        before, after = getattr(dataset, name), getattr(back, name)
+        assert after.shape == before.shape
+        assert np.array_equal(*(np.asarray(a, dtype=float).view(np.uint64) for a in (before, after)))
+
+
 def test_csv_round_trip_is_bit_identical(tmp_path):
     sim = generate(SimConfig(n_source=16, n_target=16, seed=11))
     path = tmp_path / "rt.csv"
@@ -377,8 +416,28 @@ def test_a_bad_cell_is_reported_before_a_later_unreadable_row_of_its_block(tmp_p
     path.write_text(text.replace("oops", "1.5"), encoding="utf-8")
     ingest_csv(path)
     path.write_text(text.replace("oops", "1.5") + "1.0,2.0,1,1," + "9" * (csv.field_size_limit() + 1) + "\n", encoding="utf-8")
-    with pytest.raises(csv.Error, match="field larger than field limit"):
+    with pytest.raises(ValueError, match=r"^line 8: field larger than field limit \(131072\)$"):
         ingest_csv(path)
+
+
+LONG_FIELD = "9" * 200_000  # beyond the csv module's field limit of 131,072 characters
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"x{LONG_FIELD},g,a,y\n1.0,1,1,2.5\n2.0,0,,\n", "{path}: line 1: field larger than field limit (131072)"),
+        (f"x1,g,a,y\n1.0,1,1,{LONG_FIELD}\n2.0,0,,\n", "line 2: field larger than field limit (131072)"),
+    ],
+    ids=["header", "row 2"],
+)
+def test_a_field_beyond_the_csv_limit_is_a_value_error_naming_its_line(tmp_path, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    for read in (ingest_reference, ingest_csv):
+        with pytest.raises(ValueError) as raised:
+            read(path)
+        assert str(raised.value) == message.format(path=path)
 
 
 def test_ingesting_a_20480_row_file_peaks_at_most_4_5_mib(tmp_path):

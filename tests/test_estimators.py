@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -352,6 +353,22 @@ def test_bound_two_row_hand_instance():
     by_hand = np.sqrt(np.log(2 * 100 / 0.05) / (2 * n * n) * (term_row0 + term_row1))
     assert close(report.bound_term, by_hand, tol=1e-12)
     assert close(report.bound_term, bound_reference(ds, mu0, mu1, e1, s, 0.05, 100), tol=1e-12)
+
+
+def test_bound_refuses_coefficients_that_overflow_as_reward_coefficients_does():
+    rng = np.random.default_rng(1)
+    g = np.r_[np.ones(100, dtype=int), np.zeros(300, dtype=int)]
+    ds = CombinedDataset(
+        covariates=rng.normal(size=(400, 2)),
+        group=g,
+        treatment=np.where(g == 1, np.arange(400) % 2, np.nan),
+        outcome=np.r_[1e307 * rng.normal(size=100), np.full(300, np.nan)],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        ns = fit_nuisances(ds)
+        with pytest.raises(FloatingPointError, match="^se reward coefficients for r overflow"):
+            generalization_bound(ds, ns, eta=0.05, policy_class_size=100)
 
 
 def test_bound_validates_inputs():

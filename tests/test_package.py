@@ -7,25 +7,17 @@ import policyshift
 # The public surface, spelled out so that adding or dropping an export is a
 # deliberate edit of this list.
 PUBLIC_NAMES = [
-    "BoundReport",
     "CombinedDataset",
-    "EvalMetrics",
     "ExperimentConfig",
     "ExperimentReport",
     "FeatureMap",
     "FitError",
     "LearnerConfig",
     "LinearPolicy",
-    "LogisticModel",
     "NuisanceConfig",
     "NuisanceSet",
-    "PairedTTest",
     "RewardCoefficients",
-    "RewardEstimate",
-    "RidgeModel",
     "SimConfig",
-    "SimulatedData",
-    "TrainingTrace",
     "betainc",
     "bias_diagnostic",
     "estimate",
@@ -122,3 +114,32 @@ def test_every_export_is_used_outside_the_tests():
                 used.update(part for s in strings for part in s.split("."))
     unused = [name for name in policyshift.__all__ if name not in used]
     assert not unused, f"exported but read only by the tests: {unused}"
+
+
+def test_every_export_is_imported_from_the_package_root():
+    """Each public name is imported from ``policyshift`` by a demo, a benchmark file or another test.
+
+    ``from policyshift import name`` and ``policyshift.name`` both count; a
+    name imported only from its module need not be exported.
+    """
+    root = Path(__file__).resolve().parents[1]
+    paths = [*(root / "demos").glob("*.py"), *(root / "perfbench").rglob("*.py")]
+    paths += [p for p in (root / "tests").glob("*.py") if p.name != Path(__file__).name]
+    imported = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "policyshift":
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "policyshift":
+                imported.add(node.attr)
+    unimported = [name for name in policyshift.__all__ if name not in imported]
+    assert not unimported, f"exported but never imported from the package root: {unimported}"
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md quick start", "exec"), {"__name__": "readme_quick_start"})
+    out = capsys.readouterr().out
+    assert "RewardEstimate(value=" in out and "EvalMetrics(true_reward=" in out
