@@ -56,6 +56,7 @@ _REPORTED = 8
 
 # the reserved CSV columns; every other column is a covariate
 GROUP, TREATMENT, OUTCOME = "g", "a", "y"
+_BOM = "\ufeff"  # the byte-order mark that reading "utf-8-sig" strips from the start of a file
 
 
 def _problems(X: np.ndarray, g: np.ndarray, a: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> list[str]:
@@ -97,8 +98,9 @@ class CombinedDataset:
     Construction refuses arrays that break this layout (a group value must
     be exactly 0 or 1; bools are fine) with a ValueError naming up to 8 faults.
     Covariate names (default ``x1``, ``x2``, ...) must be distinct strings
-    other than the reserved CSV columns ``g``, ``a`` and ``y``, so that
-    ``write_csv`` writes a file that ``ingest_csv`` reads back.
+    other than the reserved CSV columns ``g``, ``a`` and ``y`` that do not
+    start with a byte-order mark, so that ``write_csv`` writes a file that
+    ``ingest_csv`` reads back.
     """
 
     covariates: np.ndarray
@@ -126,6 +128,9 @@ class CombinedDataset:
         reserved = sorted({GROUP, TREATMENT, OUTCOME}.intersection(names))
         if reserved:
             raise ValueError(f"covariate names {reserved} are reserved for the group, treatment and outcome columns")
+        marked = [name for name in names if name.startswith(_BOM)]
+        if marked:
+            raise ValueError(f"covariate names {marked} start with a byte-order mark, which ingest_csv strips")
         problems = _problems(X, g, a, y, names)
         if problems:
             raise ValueError("invalid dataset: " + "; ".join(problems[:_REPORTED]))

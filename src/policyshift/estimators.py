@@ -190,5 +190,10 @@ def generalization_bound(
         raise ValueError("policy_class_size must be >= 1")
     residuals = reward_coefficients(dataset, nuisances, "se", "r").a[dataset.source_mask]
     n = dataset.n
-    term = float(np.sqrt(np.log(2.0 * policy_class_size / eta) / (2.0 * n * n) * np.sum(residuals**2)))
+    # squared after scaling by the largest magnitude, so finite residuals give a finite sum
+    scale = float(np.max(np.abs(residuals)))
+    term = 0.0
+    if scale > 0.0:
+        total = float(np.sum((residuals / scale) ** 2))
+        term = scale * float(np.sqrt(np.log(2.0 * policy_class_size / eta) / (2.0 * n * n) * total))
     return BoundReport(eta=eta, policy_class_size=policy_class_size, bound_term=term, bias_diagnostic=bias)

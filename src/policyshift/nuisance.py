@@ -80,8 +80,9 @@ def fit_ridge(features: np.ndarray, y: np.ndarray, fmap: FeatureMap, ridge: floa
 
 def _penalized_loglik(eta: np.ndarray, y: np.ndarray, beta: np.ndarray, ridge: float) -> float:
     """Penalized log-likelihood of ``beta``, whose linear predictor is ``eta``."""
-    # log-likelihood written to avoid overflow: y*eta - log(1+exp(eta))
-    ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    # y*eta - log(1+exp(eta)), with log(1+exp(eta)) = max(eta, 0) + log1p(exp(-|eta|)) so that
+    # nothing overflows; summed per row, since separate sums cancel on separated data
+    ll = float(np.sum(y * eta - np.maximum(eta, 0.0) - np.log1p(np.exp(-np.abs(eta)))))
     return ll - 0.5 * ridge * float(np.sum(beta[1:] ** 2))
 
 
@@ -91,15 +92,19 @@ def fit_logistic(
     fmap: FeatureMap,
     ridge: float = DEFAULT_LOGISTIC_RIDGE,
     trace: list | None = None,
+    *,
+    start: np.ndarray | None = None,
 ) -> LinearModel:
     """Maximize the ridge-penalized Bernoulli log-likelihood by IRLS.
 
-    Newton steps are halved whenever the penalized log-likelihood would
-    decrease, so the objective is non-decreasing across iterations; when no
-    step down to a scale of 1e-8 keeps it, the current coefficients are
-    returned. Stops after ``IRLS_MAX_ITER`` iterations, or earlier once the
-    largest absolute coefficient update falls below ``IRLS_TOL``. If
-    ``trace`` is a list, the objective after every iteration is appended to it.
+    Newton starts from ``start`` (default: zero), which must be a finite
+    vector of ``fmap.p_out`` coefficients. Steps are halved whenever the
+    penalized log-likelihood would decrease, so the objective is
+    non-decreasing across iterations; when no step down to a scale of 1e-8
+    keeps it, the current coefficients are returned. Stops after
+    ``IRLS_MAX_ITER`` iterations, or earlier once the largest absolute
+    coefficient update falls below ``IRLS_TOL``. If ``trace`` is a list, the
+    objective after every iteration is appended to it.
     """
     y = np.asarray(labels, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
@@ -109,7 +114,12 @@ def fit_logistic(
     Phi = fmap.expand(features)
     k = Phi.shape[1]
     D = _penalty_matrix(k, ridge)
-    beta = np.zeros(k)
+    if start is None:
+        beta = np.zeros(k)
+    else:
+        beta = np.array(start, dtype=float)
+        if beta.shape != (k,) or not np.isfinite(beta).all():
+            raise ValueError(f"start must be a finite vector of {k} coefficients")
     eta = Phi @ beta
     obj = _penalized_loglik(eta, y, beta, ridge)
     if trace is not None:
@@ -282,7 +292,10 @@ def fit_nuisances(dataset: CombinedDataset, config: NuisanceConfig | None = None
     treatment score on source rows and the domain score on every row. With
     ``config.folds > 1`` the models are cross-fitted: each fold's rows are
     predicted by models trained on the remaining folds, and the full-data
-    models, which serve any other covariates, are fitted on first use.
+    models, which serve any other covariates, are fitted on first use. The
+    first fold's scores start Newton from zero and every later fold's start
+    at the first fold's coefficients; the full-data scores start from zero,
+    so they equal the ``folds=1`` scores.
     """
     config = config or NuisanceConfig()
     p = dataset.p
@@ -292,7 +305,7 @@ def fit_nuisances(dataset: CombinedDataset, config: NuisanceConfig | None = None
 
     x, arm, source = dataset.covariates, dataset.treatment, dataset.source_mask
 
-    def _fit_single(train: np.ndarray) -> NuisanceSet:
+    def _fit_single(train: np.ndarray, starts: tuple = (None, None)) -> NuisanceSet:
         outcome = []
         for a in (0, 1):
             rows = train & source & (arm == a)
@@ -304,8 +317,8 @@ def fit_nuisances(dataset: CombinedDataset, config: NuisanceConfig | None = None
         return NuisanceSet(
             mu0=outcome[0],
             mu1=outcome[1],
-            e1=fit_logistic(x[rows], arm[rows], pmap, config.logistic_ridge),
-            s=fit_logistic(x[train], dataset.group[train].astype(float), smap, config.logistic_ridge),
+            e1=fit_logistic(x[rows], arm[rows], pmap, config.logistic_ridge, start=starts[0]),
+            s=fit_logistic(x[train], dataset.group[train].astype(float), smap, config.logistic_ridge, start=starts[1]),
             clip=config.clip,
         )
 
@@ -314,9 +327,13 @@ def fit_nuisances(dataset: CombinedDataset, config: NuisanceConfig | None = None
         return _fit_single(everything).bind(x)
     assignment = crossfit_folds(dataset, config.folds)
     out = {name: np.empty(dataset.n) for name in ("mu0", "mu1", "e1", "s")}
+    starts = (None, None)
     for k in range(config.folds):
         held_out = assignment == k
-        vals = _fit_single(~held_out).values(x[held_out])
+        fitted = _fit_single(~held_out, starts)
+        if k == 0:  # any two folds share most training rows, so later folds start at fold 0's scores
+            starts = (fitted.e1.beta, fitted.s.beta)
+        vals = fitted.values(x[held_out])
         for name in out:
             out[name][held_out] = getattr(vals, name)
     full = functools.cache(lambda: _fit_single(everything))

@@ -242,8 +242,9 @@ NAN = np.nan
         (np.zeros((2, 2)), ("x1", "x1"), "covariate names must be distinct strings"),
         (np.zeros((2, 2)), (1, "x1"), "covariate names must be distinct strings"),
         (np.zeros((2, 0)), (), "at least one covariate column"),
+        (np.zeros((2, 1)), ("\ufeffx",), "start with a byte-order mark"),
     ],
-    ids=["y", "g", "a", "repeated", "not-a-string", "no-covariate"],
+    ids=["y", "g", "a", "repeated", "not-a-string", "no-covariate", "byte-order-mark"],
 )
 def test_construction_refuses_a_layout_that_write_csv_could_not_read_back(x, names, message):
     with pytest.raises(ValueError, match=message):
@@ -251,13 +252,13 @@ def test_construction_refuses_a_layout_that_write_csv_could_not_read_back(x, nam
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(names=st.lists(st.sampled_from(["x1", "x2", "g", "a", "y", "G", " a"]), min_size=0, max_size=3))
+@given(names=st.lists(st.sampled_from(["x1", "x2", "g", "a", "y", "G", " a", "\ufeff"]), min_size=0, max_size=3))
 def test_every_dataset_that_builds_survives_the_csv_round_trip(tmp_path, names):
     x = np.arange(2.0 * len(names)).reshape(2, len(names)) - 0.5
     try:
         dataset = CombinedDataset(x, [1, 0], [1.0, NAN], [2.0, NAN], covariate_names=tuple(names))
     except ValueError:
-        assert not names or len(set(names)) < len(names) or {"g", "a", "y"} & set(names)
+        assert not names or len(set(names)) < len(names) or {"g", "a", "y", "\ufeff"} & set(names)
         return
     path = tmp_path / "rt.csv"
     write_csv(dataset, path)

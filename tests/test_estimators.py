@@ -371,6 +371,26 @@ def test_bound_refuses_coefficients_that_overflow_as_reward_coefficients_does():
             generalization_bound(ds, ns, eta=0.05, policy_class_size=100)
 
 
+def test_bound_stays_finite_when_the_squared_residuals_would_overflow():
+    rng = np.random.default_rng(1)
+    g = np.r_[np.ones(100, dtype=int), np.zeros(300, dtype=int)]
+    ds = CombinedDataset(
+        covariates=rng.normal(size=(400, 2)),
+        group=g,
+        treatment=np.where(g == 1, np.arange(400) % 2, np.nan),
+        outcome=np.r_[1e160 * rng.normal(size=100), np.full(300, np.nan)],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        ns = fit_nuisances(ds)
+        report = generalization_bound(ds, ns, eta=0.05, policy_class_size=100)
+        r = reward_coefficients(ds, ns, "se", "r").a[ds.source_mask]
+    scale = np.max(np.abs(r))
+    assert scale > np.sqrt(np.finfo(float).max)  # so the unscaled squares would overflow
+    scaled = scale * np.sqrt(np.log(2 * 100 / 0.05) / (2 * ds.n**2) * np.sum((r / scale) ** 2))
+    assert np.isfinite(report.bound_term) and close(report.bound_term, scaled, tol=1e-12)
+
+
 def test_bound_validates_inputs():
     rng = np.random.default_rng(19)
     ds, vals, _ = random_small_dataset(rng)

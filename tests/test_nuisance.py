@@ -186,6 +186,37 @@ def test_irls_keeps_its_coefficients_when_every_step_goes_downhill(monkeypatch):
     assert trace == [0.0]
 
 
+def warm_start_problem():
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(300, 3))
+    y = (rng.random(300) < sigmoid(0.5 - x[:, 0] + 0.3 * x[:, 1] ** 2)).astype(float)
+    return x, y, FeatureMap("quadratic", 3)
+
+
+def test_irls_started_at_its_own_solution_stops_after_one_step():
+    x, y, fmap = warm_start_problem()
+    cold = fit_logistic(x, y, fmap, ridge=0.01)
+    trace: list[float] = []
+    warm = fit_logistic(x, y, fmap, ridge=0.01, trace=trace, start=cold.beta)
+    assert len(trace) == 2
+    assert np.allclose(warm.beta, cold.beta, rtol=0.0, atol=1e-12)
+
+
+def test_irls_started_far_from_the_solution_reaches_the_cold_solution():
+    x, y, fmap = warm_start_problem()
+    cold = fit_logistic(x, y, fmap, ridge=0.01)
+    warm = fit_logistic(x, y, fmap, ridge=0.01, start=5.0 * cold.beta)
+    assert np.allclose(warm.beta, cold.beta, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("start", [np.zeros(9), np.r_[np.zeros(9), np.nan]], ids=["wrong-length", "nan"])
+def test_irls_refuses_a_start_that_is_not_a_finite_coefficient_vector(start):
+    x, y, fmap = warm_start_problem()
+    assert fmap.p_out == 10
+    with pytest.raises(ValueError, match="start must be a finite vector of 10 coefficients"):
+        fit_logistic(x, y, fmap, ridge=0.01, start=start)
+
+
 def test_propensity_near_half_under_fair_coin():
     sim = generate(SimConfig(n_source=512, n_target=64, seed=5))
     ns = fit_nuisances(sim.dataset, NuisanceConfig(**INTERCEPTS, logistic_ridge=0.0))
@@ -357,6 +388,46 @@ def test_a_crossfit_set_fits_its_full_data_models_once_on_first_use(monkeypatch,
     crossfit.coefficients()
     assert calls == {"fit_logistic": 12, "fit_ridge": 12}
     assert crossfit.coefficients() == fit_nuisances(training, NuisanceConfig(folds=1)).coefficients()
+
+
+def test_crossfit_scores_match_a_cold_refit_of_each_fold():
+    ds = generate(SimConfig(seed=5)).dataset
+    config = NuisanceConfig(folds=5)
+    v = fit_nuisances(ds, config).values(ds.covariates)
+    assignment = crossfit_folds(ds, 5)
+    pmap, smap = FeatureMap(config.propensity_map, ds.p), FeatureMap(config.sampling_map, ds.p)
+    starts = {"e1": None, "s": None}  # fold 0 starts from zero, later folds at fold 0's coefficients
+    for k in range(5):
+        train, held_out = assignment != k, assignment == k
+        src = train & ds.source_mask
+        x = ds.covariates[held_out]
+        for name, rows, labels, fmap in (
+            ("e1", src, ds.treatment, pmap),
+            ("s", train, ds.group.astype(float), smap),
+        ):
+            cold = fit_logistic(ds.covariates[rows], labels[rows], fmap, config.logistic_ridge)
+            warm = fit_logistic(ds.covariates[rows], labels[rows], fmap, config.logistic_ridge, start=starts[name])
+            got = getattr(v, name)[held_out]
+            # exactly the warm-started fit, and within 1e-9 of a fit started at zero
+            assert np.array_equal(got, np.clip(warm(x), config.clip, 1 - config.clip))
+            assert np.allclose(got, np.clip(cold(x), config.clip, 1 - config.clip), rtol=1e-9, atol=0.0)
+            if k == 0:
+                starts[name] = cold.beta
+
+
+@pytest.mark.parametrize("seed", [0, 1_000_001])
+def test_a_five_fold_crossfit_evaluates_the_logistic_objective_at_most_64_times(monkeypatch, seed):
+    ds = generate(SimConfig(seed=seed)).dataset
+    calls = []
+
+    def counted(*args, _loglik=nuisance._penalized_loglik):
+        calls.append(1)
+        return _loglik(*args)
+
+    monkeypatch.setattr(nuisance, "_penalized_loglik", counted)
+    fit_nuisances(ds, NuisanceConfig(folds=5))
+    # 80 when every fold starts Newton from zero
+    assert len(calls) <= 64
 
 
 def test_crossfit_folds_are_stratified():

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import json
 from pathlib import Path
+
+import numpy as np
 
 import policyshift
 
@@ -143,3 +146,26 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(code, "README.md quick start", "exec"), {"__name__": "readme_quick_start"})
     out = capsys.readouterr().out
     assert "RewardEstimate(value=" in out and "EvalMetrics(true_reward=" in out
+
+
+def test_pooled_benchmark_inputs_match_the_reference(monkeypatch, tmp_path):
+    """The first pooled inputs of each benchmark workload give the outputs in ``perfbench/reference.json``.
+
+    The benchmark checks every op against that file within its tolerance, so
+    a change that moves an output past it fails here as well.
+    """
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    workloads = importlib.import_module("workloads")
+    reference = json.loads((perfbench / "reference.json").read_text(encoding="utf-8"))
+    for name, count in (("estimator_mc", 8), ("replication_table", 2), ("csv_policy", 1)):
+        workload = workloads.WORKLOADS[name]
+        keys = workload.pool()[:count]
+        if name == "csv_policy":  # a key is "<data seed>/<learner seed>"
+            inputs = workload.prepare(int(keys[0].split("/")[0]), keys, tmp_path)
+        else:
+            inputs = workload.setup(np.random.default_rng(0), tmp_path)
+        fields, outputs = reference[name]["fields"], reference[name]["outputs"]
+        for key in keys:
+            observed = workload.observe(inputs, key, workload.op(inputs, key))
+            assert workloads.mismatches(observed, dict(zip(fields, outputs[key]))) == [], f"{name} input {key}"
