@@ -13,7 +13,8 @@ estimands:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -120,20 +121,29 @@ def estimate(coeffs: RewardCoefficients, policy_values: np.ndarray) -> RewardEst
 
     The influence values subtract the estimate through the estimand's
     identification weight, which makes their mean exactly zero; the standard
-    error is their sample standard deviation divided by sqrt(n).
+    error is their sample standard deviation divided by sqrt(n). Moments of
+    finite coefficients that overflow are taken over the largest magnitude and
+    scaled back; a value or interval beyond the float range raises
+    ``FloatingPointError``.
     """
     pi = _policy_values(policy_values, coeffs.n)
-    contributions = pi * coeffs.a + coeffs.b
-    value = float(contributions.mean())
-    influence = contributions - value * coeffs.center_weight
-    n = coeffs.n
-    std_error = float(influence.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
-    return RewardEstimate(
-        value=value,
-        std_error=std_error,
-        ci_low=value - Z_95 * std_error,
-        ci_high=value + Z_95 * std_error,
-    )
+
+    def moments(scale: float) -> tuple[float, float]:
+        """Value and standard error taken of the coefficients over ``scale``, then scaled back."""
+        contributions = pi * (coeffs.a / scale) + coeffs.b / scale
+        value = float(contributions.mean())
+        sd = float((contributions - value * coeffs.center_weight).std(ddof=1)) if coeffs.n > 1 else math.nan
+        return scale * value, scale * (sd / math.sqrt(coeffs.n))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, std_error = moments(1.0)
+        if not (math.isfinite(value) and (coeffs.n < 2 or math.isfinite(std_error))):
+            # sums of finite coefficients overflowed: take them over the largest magnitude
+            value, std_error = moments(max(float(np.max(np.abs(coeffs.a))), float(np.max(np.abs(coeffs.b)))))
+    result = RewardEstimate(value, std_error, value - Z_95 * std_error, value + Z_95 * std_error)
+    if any(math.isinf(field) for field in astuple(result)):
+        raise FloatingPointError("the reward estimate or its interval overflows; rescale the outcomes")
+    return result
 
 
 def bias_diagnostic(

@@ -11,8 +11,6 @@ ascent with step size eta / T**2, whose coefficients are the former's over T.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -129,17 +127,8 @@ def _ascend(
     a set whose theta goes non-finite is frozen the same way; neither is
     reported.
 
-    One helper thread draws the mini-batch order of the next epoch and
-    gathers the standardized features in that order while this thread steps
-    the current epoch. Neither depends on theta, and both are single numpy
-    calls that release the interpreter lock, so they overlap the steps; the
-    helper works in the spare one of two slots and draws the epochs in order,
-    so every result is bit for bit what drawing them between the epochs gives.
-    The gains are gathered on this thread, because a set that dies zeroes its
-    gains between epochs. The objective stays here too: on the helper it
-    would wait for theta and hand the lock back and forth. An exception of
-    the helper is raised again here, and the helper is stopped and joined on
-    every exit; ``max_epochs = 0`` starts no thread.
+    Each epoch's mini-batch order is drawn, and the standardized features and
+    gains gathered in that order, at the top of the epoch on this thread.
     """
     if not groups:
         return []
@@ -186,42 +175,20 @@ def _ascend(
     A_epoch, gb = At_epoch.transpose(0, 2, 1), grad[..., 0, :]
     widths = {min(config.batch_size, n - start) for start in range(0, n, config.batch_size)}
     scratch = {width: (np.empty((R, m, width)), np.empty((R, m, width))) for width in widths}
-    # an epoch is prepared in a slot: its flat rows, the features gathered in
-    # their order and, per batch, its features and gains, sigmoid(F . theta) and
-    # the work buffer holding the score, with the views the products write and
-    # read, and its width; the gains buffer is this thread's alone, so one serves both slots
-    slots = []
-    for _ in range(2):
-        F_epoch, plan = np.empty((R, n, k)), []
-        for start in range(0, n, config.batch_size):
-            end = min(start + config.batch_size, n)
-            S, W = scratch[end - start]
-            plan.append((F_epoch[:, None, start:end], A_epoch[..., start:end], S, W, W[..., None], S[..., None, :], end - start))
-        slots.append((np.empty((R, n), dtype=np.intp), F_epoch, plan))
+    # an epoch's flat rows, the features gathered in their order and, per batch,
+    # its features and gains, sigmoid(F . theta) and the work buffer holding the
+    # score, with the views the products write and read, and its width
+    rows, F_epoch, plan = np.empty((R, n), dtype=np.intp), np.empty((R, n, k)), []
+    for start in range(0, n, config.batch_size):
+        end = min(start + config.batch_size, n)
+        S, W = scratch[end - start]
+        plan.append((F_epoch[:, None, start:end], A_epoch[..., start:end], S, W, W[..., None], S[..., None, :], end - start))
     F_all, S_all, W_all = Fs[:, None], np.empty((R, m, n)), np.empty((R, m, n))
     W_all_col, step = W_all[..., None], config.step_size
     # each group's rows carry the flat offset of its first row, so take on the
     # flat arrays gathers every group at once
     Fs_flat, At_flat = Fs.reshape(R * n, k), At.reshape(R * n, m)
     first_rows = np.arange(R * n, dtype=np.intp).reshape(R, n)
-    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def draw_epochs() -> None:
-        """Prepare each slot handed over in ``free`` as the next epoch and pass it to ``ready``."""
-        try:
-            for slot in iter(free.get, None):
-                rows, F_epoch, _ = slot
-                # Generator.permutation(n) is arange(n) shuffled, and a shuffle's permutation
-                # does not depend on the values, so this draws the same order in place
-                rows[:] = first_rows
-                for r, rng in enumerate(rngs):
-                    rng.shuffle(rows[r])
-                # take on flat rows gathers the bytes of fancy indexing several times faster; the
-                # rows are in range, and mode "clip" writes into ``out`` without a buffer of its size
-                Fs_flat.take(rows, axis=0, out=F_epoch, mode="clip")
-                ready.put(slot)
-        except Exception as exc:  # raised again on the stepping thread, which waits on ``ready``
-            ready.put(exc)
 
     def objectives() -> np.ndarray:
         """Full-data smoothed objective mean(sigmoid(F . theta) * a + b) of every set."""
@@ -229,47 +196,38 @@ def _ascend(
         sigmoid(W_all, out=S_all, work=W_all)
         return np.add(np.multiply(S_all, A, out=S_all), B, out=S_all).mean(axis=-1)
 
-    for slot in slots[: config.max_epochs]:
-        free.put(slot)
-    helper = threading.Thread(target=draw_epochs, name="policyshift-draw-epochs")
-    if config.max_epochs:
-        helper.start()
-    try:
-        history = [objectives()]
-        best_theta, best_obj, best_epoch = theta.copy(), history[0].copy(), np.zeros((R, m), dtype=int)
-        for epoch in range(config.max_epochs):
-            if not live.any():
-                break
-            slot = ready.get()  # the next epoch, or the exception that ended the helper
-            if isinstance(slot, Exception):
-                raise slot
-            rows, _, plan = slot
-            # the gains are gathered here: a set that dies zeroes its gains between epochs
-            At_flat.take(rows, axis=0, out=At_epoch, mode="clip")
-            for Fb, Ab, S, W, W_col, S_row, width in plan:
-                np.matmul(Fb, theta_col, out=W_col)
-                sigmoid(W, out=S, work=W)
-                np.subtract(1.0, S, out=W)
-                np.multiply(np.multiply(Ab, S, out=S), W, out=S)
-                np.matmul(S_row, Fb, out=grad)
-                np.add(theta, np.multiply(step, np.divide(gb, width, out=gb), out=gb), out=theta)
-            if epoch + len(slots) < config.max_epochs:  # the helper draws max_epochs epochs in all
-                free.put(slot)
-            # a non-finite gradient leaves theta non-finite for good, so once per epoch suffices
-            dead = ~np.isfinite(theta).all(axis=-1)
-            if dead.any():
-                for r, j in zip(*np.nonzero(dead & live)):
-                    entries[r][j] = FloatingPointError("non-finite policy gradient; check reward coefficients")
-                live &= ~dead
-                theta[dead], A[dead], B[dead] = 0.0, 0.0, 0.0
-            obj = objectives()
-            history.append(obj)
-            better = live & (obj > best_obj)
-            best_theta[better], best_obj[better], best_epoch[better] = theta[better], obj[better], epoch + 1
-    finally:
-        if config.max_epochs:
-            free.put(None)
-            helper.join()
+    history = [objectives()]
+    best_theta, best_obj, best_epoch = theta.copy(), history[0].copy(), np.zeros((R, m), dtype=int)
+    for epoch in range(config.max_epochs):
+        if not live.any():
+            break
+        # Generator.permutation(n) is arange(n) shuffled, and a shuffle's permutation
+        # does not depend on the values, so this draws the same order in place
+        rows[:] = first_rows
+        for r, rng in enumerate(rngs):
+            rng.shuffle(rows[r])
+        # take on flat rows gathers the bytes of fancy indexing several times faster; the
+        # rows are in range, and mode "clip" writes into ``out`` without a buffer of its size
+        Fs_flat.take(rows, axis=0, out=F_epoch, mode="clip")
+        At_flat.take(rows, axis=0, out=At_epoch, mode="clip")
+        for Fb, Ab, S, W, W_col, S_row, width in plan:
+            np.matmul(Fb, theta_col, out=W_col)
+            sigmoid(W, out=S, work=W)
+            np.subtract(1.0, S, out=W)
+            np.multiply(np.multiply(Ab, S, out=S), W, out=S)
+            np.matmul(S_row, Fb, out=grad)
+            np.add(theta, np.multiply(step, np.divide(gb, width, out=gb), out=gb), out=theta)
+        # a non-finite gradient leaves theta non-finite for good, so once per epoch suffices
+        dead = ~np.isfinite(theta).all(axis=-1)
+        if dead.any():
+            for r, j in zip(*np.nonzero(dead & live)):
+                entries[r][j] = FloatingPointError("non-finite policy gradient; check reward coefficients")
+            live &= ~dead
+            theta[dead], A[dead], B[dead] = 0.0, 0.0, 0.0
+        obj = objectives()
+        history.append(obj)
+        better = live & (obj > best_obj)
+        best_theta[better], best_obj[better], best_epoch[better] = theta[better], obj[better], epoch + 1
 
     history = np.stack(history, axis=-1)
     for r in range(R):

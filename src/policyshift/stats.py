@@ -53,9 +53,9 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b) for a, b > 0."""
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0 and x not NaN."""
+    if math.isnan(x) or not (a > 0 and b > 0):
+        raise ValueError(f"a and b must be positive and x a number, got a={a!r}, b={b!r}, x={x!r}")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -91,7 +91,8 @@ def paired_t_test(series_a: np.ndarray, series_b: np.ndarray) -> PairedTTest:
     """Two-sided paired t-test of mean(series_a - series_b) = 0.
 
     Zero-variance differences are degenerate; they are reported with p = 1 and
-    the ``degenerate`` flag instead of an error. Non-finite values are refused.
+    the ``degenerate`` flag instead of an error. Non-finite values are refused,
+    and so are differences whose mean or spread overflows.
     """
     a = np.asarray(series_a, dtype=float)
     b = np.asarray(series_b, dtype=float)
@@ -102,9 +103,11 @@ def paired_t_test(series_a: np.ndarray, series_b: np.ndarray) -> PairedTTest:
     k = len(a)
     if k < 2:
         raise ValueError("need at least two pairs")
-    d = a - b
-    mean = float(d.mean())
-    sd = float(d.std(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a - b
+        mean, sd = float(d.mean()), float(d.std(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise ValueError("the differences of the series or their moments overflow")
     df = k - 1
     if sd == 0.0:
         return PairedTTest(t_stat=float("nan"), p_value=1.0, df=df, mean_difference=mean, degenerate=True)

@@ -94,6 +94,27 @@ def test_learn_then_estimate_round_trip(tmp_path, config_path):
         assert result["estimand"] == estimand
 
 
+def test_estimate_writes_a_finite_std_error_when_the_influence_squares_would_overflow(tmp_path):
+    rng = np.random.default_rng(1)
+    data, policy, out = tmp_path / "data.csv", tmp_path / "policy.json", tmp_path / "est.json"
+    with data.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "g", "a", "y"])
+        for i, x in enumerate(rng.normal(size=(400, 2))):
+            labels = [int(rng.integers(2)), repr(float(1e160 * rng.normal()))] if i < 100 else ["", ""]
+            writer.writerow([repr(float(x[0])), repr(float(x[1])), int(i < 100), *labels])
+    policy.write_text(json.dumps({"theta": [0.1, 0.2, -0.3], "feature_map": "raw", "p_in": 2}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        assert main(["estimate", "--data", str(data), "--policy", str(policy), "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    result = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
+    assert result["std_error"] > 0 and result["ci_low"] <= result["value"] <= result["ci_high"]
+
+
 def test_learn_seeds_the_mini_batch_order_and_defaults_to_0(tmp_path, config_path):
     data = tmp_path / "data.csv"
     assert main(["simulate", "--config", config_path, "--out-data", str(data)]) == 0

@@ -17,6 +17,7 @@ from policyshift import (
     fit_nuisances,
     generalization_bound,
     generate,
+    RewardCoefficients,
     population_reward,
     reward_coefficients,
 )
@@ -201,6 +202,21 @@ def test_estimate_constant_coefficients():
     assert est.value == 2.5
     # constant contributions under a constant centering weight: no dispersion
     assert est.std_error == 0.0 and est.ci_low == est.ci_high == 2.5
+
+
+def test_estimate_stays_finite_when_the_mean_of_finite_contributions_would_overflow():
+    a = np.array([1e308, 1e308, 1.0])
+    coeffs = RewardCoefficients(a=a, b=np.zeros(3), center_weight=np.ones(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        est = estimate(coeffs, np.ones(3))
+    scaled = a / 1e308
+    assert close(est.value, 1e308 * scaled.mean()) and close(est.std_error, 1e308 * scaled.std(ddof=1) / np.sqrt(3))
+    assert np.isfinite([est.ci_low, est.ci_high]).all()
+    # a value or interval beyond the float range cannot be reported, so it is refused
+    for a, b in [(np.full(3, 1e308), np.full(3, 1e308)), (np.array([1.7e308, -1.7e308, 1.7e308, -1.7e308]), np.zeros(4))]:
+        with pytest.raises(FloatingPointError, match="the reward estimate or its interval overflows"):
+            estimate(RewardCoefficients(a=a, b=b, center_weight=np.ones(len(a))), np.ones(len(a)))
 
 
 def test_estimate_is_linear_in_policy():

@@ -360,9 +360,23 @@ def test_the_ascent_leaves_no_thread_behind_when_it_ends_or_every_set_dies():
     assert threading.active_count() == before
 
 
+def test_the_ascent_starts_no_thread(monkeypatch):
+    started, start = [], threading.Thread.start
+
+    def recording_start(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    groups = small_groups(np.random.default_rng(12), (3, 2))
+    stacked = _ascend(groups, LearnerConfig(max_epochs=6, batch_size=16))
+    assert started == []
+    assert all(len(trace.objectives) == 7 for results in stacked for _, trace in results)
+
+
 def test_zero_epochs_start_no_thread(monkeypatch):
     started = []
-    monkeypatch.setattr(policy_module.threading.Thread, "start", lambda self: started.append(self))
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
     groups = small_groups(np.random.default_rng(9), (2,))
     before = threading.active_count()
     ((policy, trace), _) = _ascend(groups, LearnerConfig(max_epochs=0, batch_size=16))[0]
@@ -370,7 +384,7 @@ def test_zero_epochs_start_no_thread(monkeypatch):
     assert np.array_equal(policy.theta, np.zeros(3)) and len(trace.objectives) == 1
 
 
-def test_an_error_while_stepping_stops_the_helper_thread(monkeypatch):
+def test_an_error_while_stepping_reaches_the_caller(monkeypatch):
     calls = []
 
     def failing_sigmoid(*args, **kwargs):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,17 @@ def test_betainc_matches_scipy_to_1e10():
         assert betainc(a, b, x) == pytest.approx(special.betainc(a, b, x), abs=1e-10)
     assert betainc(2.0, 3.0, 0.0) == 0.0
     assert betainc(2.0, 3.0, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("a, b, x", [(2.0, 0.5, math.nan), (math.nan, 0.5, 0.3), (2.0, math.nan, 0.3)], ids=["x", "a", "b"])
+def test_betainc_refuses_a_nan_argument(a, b, x):
+    with pytest.raises(ValueError, match="a and b must be positive and x a number"):
+        betainc(a, b, x)
+
+
+def test_t_tail_refuses_a_nan_statistic():
+    with pytest.raises(ValueError, match="x a number"):
+        t_sf_two_sided(math.nan, 5)
 
 
 def test_t_tail_matches_scipy_to_1e10():
@@ -66,6 +78,21 @@ def test_paired_refuses_non_finite_series(bad):
         paired_t_test(np.array([1.0, bad, 2.0]), np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
         paired_t_test(np.zeros(3), np.array([1.0, bad, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1e308, -1e308, 0.0], [-1e308, 1e308, 0.0]),  # a difference overflows
+        ([1e308, 1e308, 1e308], [0.0, 0.0, 1.0]),  # finite differences whose sum overflows
+    ],
+    ids=["difference", "sum"],
+)
+def test_paired_refuses_differences_that_overflow(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        with pytest.raises(ValueError, match="overflow"):
+            paired_t_test(np.array(a), np.array(b))
 
 
 def test_paired_matches_scipy_on_random_series():
