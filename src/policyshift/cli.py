@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import ingest_csv, write_csv
 from .estimators import estimate as estimate_reward
-from .estimators import reward_coefficients
+from .estimators import check_estimator, reward_coefficients
 from .harness import (
     DEFAULT_METHODS,
     ExperimentConfig,
@@ -129,6 +129,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     payload = json.loads(Path(args.policy).read_text(encoding="utf-8"))
     policy = LinearPolicy.from_dict(payload["policy"] if type(payload) is dict and "policy" in payload else payload)
+    check_estimator(args.method, args.estimand)
     dataset = ingest_csv(args.data)
     if policy.fmap.p_in != dataset.p:
         raise ValueError(f"the policy takes {policy.fmap.p_in} covariates, but {args.data} has {dataset.p}")

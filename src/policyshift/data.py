@@ -101,6 +101,12 @@ class CombinedDataset:
     other than the reserved CSV columns ``g``, ``a`` and ``y`` that do not
     start with a byte-order mark, so that ``write_csv`` writes a file that
     ``ingest_csv`` reads back.
+
+    The dataset keeps its arrays read-only. Covariates, treatment and
+    outcome given as contiguous float64 arrays are kept as they are, so
+    building a dataset makes the caller's arrays read-only in place, as
+    ``NuisanceSet.bind`` does with its inputs; pass copies to keep writing
+    into them.
     """
 
     covariates: np.ndarray

@@ -87,7 +87,14 @@ def _coefficients(dataset: CombinedDataset, nuisances: NuisanceSet, kind: str, e
     return RewardCoefficients(a=a, b=b, center_weight=center_weight)
 
 
-_SUPPORTED = {("direct", "r"), ("ipw", "r"), ("se", "r"), ("se", "v")}
+# the estimands each estimator kind supports
+ESTIMANDS = {"direct": ("r",), "ipw": ("r",), "se": ("r", "v")}
+
+
+def check_estimator(kind: str, estimand: str) -> None:
+    """Refuse a (kind, estimand) pair that has no estimator."""
+    if estimand not in ESTIMANDS.get(kind, ()):
+        raise ValueError(f"no estimator for kind={kind!r}, estimand={estimand!r}")
 
 
 def reward_coefficients(
@@ -97,8 +104,7 @@ def reward_coefficients(
 
     An entry of ``a`` or ``b`` that overflows raises ``FloatingPointError`` instead of a warning.
     """
-    if (kind, estimand) not in _SUPPORTED:
-        raise ValueError(f"no estimator for kind={kind!r}, estimand={estimand!r}")
+    check_estimator(kind, estimand)
     with np.errstate(all="ignore"):
         coeffs = _coefficients(dataset, nuisances, kind, estimand)
     if not (np.isfinite(coeffs.a).all() and np.isfinite(coeffs.b).all()):

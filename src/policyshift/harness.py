@@ -2,9 +2,9 @@
 
 Every replication draws a fresh simulated dataset (seed = base seed +
 replication index), fits one shared set of nuisance models, learns every
-estimation method's policy, then evaluates each. A table stages its
-replications: all are generated and fitted first, then every policy of every
-replication is learned in one batched ascent that leaves each replication's
+estimation method's policy, then evaluates each. A table generates and
+fits all its replications first, then every policy of every replication is
+learned in one batched ascent that leaves each replication's
 arithmetic as in a run alone, then each is evaluated. Results are collected
 in replication order regardless of worker scheduling, so reports are
 byte-identical for any worker count.
@@ -22,15 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from .data import json_option
-from .estimators import bias_diagnostic, estimate, reward_coefficients
+from .estimators import ESTIMANDS, RewardCoefficients, bias_diagnostic, estimate, reward_coefficients
 from .estimators import generalization_bound  # noqa: F401 -- perfbench/tracer.py wraps harness.generalization_bound by name
-from .nuisance import NuisanceConfig, fit_nuisances
+from .nuisance import NuisanceConfig, NuisanceSet, fit_nuisances
 from .policy import LearnerConfig, LinearPolicy, _ascend
 from .policy import learn_policy  # noqa: F401 -- perfbench/tracer.py wraps harness.learn_policy by name
 from .simulate import SimConfig, SimulatedData, generate, shift_sweep_config
 from .stats import paired_t_test
 
-DEFAULT_METHODS = ("direct", "ipw", "se")
+DEFAULT_METHODS = tuple(ESTIMANDS)
 METRIC_NAMES = ("true_reward", "regret", "policy_error", "welfare_change")
 WELFARE_SCOPES = ("all", "target")
 
@@ -124,79 +124,61 @@ def _failure(exc: Exception) -> dict:
     return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def _stage(config: ExperimentConfig, replication: int, methods: tuple[str, ...]) -> tuple[dict, tuple | None]:
-    """Generate, fit and build every method's coefficients for one replication.
-
-    Returns the record so far and what learning and evaluation need, or no
-    stage when a shared step (generation or nuisance fitting) failed, which
-    fails the whole replication. A method whose coefficients fail keeps the
-    error in their place.
-    """
-    seed = config.sim.seed + replication
-    record: dict = {"replication": replication, "seed": seed}
-    try:
-        sim = generate(replace(config.sim, seed=seed))
-        nuisances = fit_nuisances(sim.dataset, config.nuisance)
-        # a cross-fitted set fits its full-data models here, on first use
-        record["nuisance_coefficients"] = nuisances.coefficients()
-    except ValueError as exc:
-        record.update(_failure(exc))
-        return record, None
-
-    record["methods"] = {}
-    coeffs = {}
-    for method in methods:
-        try:
-            coeffs[method] = reward_coefficients(sim.dataset, nuisances, method, "r")
-        except (ValueError, FloatingPointError) as exc:
-            coeffs[method] = exc
-    return record, (sim, nuisances, coeffs)
-
-
 def _run_replications(config: ExperimentConfig, replications: range, methods: tuple[str, ...]) -> list[dict]:
-    """Stage every replication, learn all their policies in one ascent, then evaluate.
+    """Build every replication's coefficients, learn all their policies in one ascent, then evaluate.
 
-    The ascent treats each replication as its own group (its covariates, and
-    its simulation seed as the learner seed), so its record is that of a run
-    alone. A learner error raised before the ascent (batch size or row
-    alignment) fails every method that has coefficients. A replication's
-    staged data is released once its record is written.
+    A failure in a shared step (generation or nuisance fitting) fails the
+    whole replication; a method whose coefficients fail gets its error entry
+    at once. The ascent treats each replication as its own group (its
+    covariates, and its simulation seed as the learner seed), so its record
+    is that of a run alone. A learner error raised before the ascent (batch
+    size or row alignment) fails every method that has coefficients. A
+    replication's data is released once its record is written.
     """
     records, staged = [], []
     for replication in replications:
-        record, stage = _stage(config, replication, methods)
+        seed = config.sim.seed + replication
+        record: dict = {"replication": replication, "seed": seed}
         records.append(record)
-        if stage is not None:
-            staged.append((record, stage))
-    groups = [
-        ([c for c in coeffs.values() if not isinstance(c, Exception)], sim.dataset.covariates, record["seed"])
-        for record, (sim, _, coeffs) in staged
-    ]
+        try:
+            sim = generate(replace(config.sim, seed=seed))
+            nuisances = fit_nuisances(sim.dataset, config.nuisance)
+            # a cross-fitted set fits its full-data models here, on first use
+            record["nuisance_coefficients"] = nuisances.coefficients()
+        except ValueError as exc:
+            record.update(_failure(exc))
+            continue
+        record["methods"] = dict.fromkeys(methods)
+        coeffs = {}
+        for method in methods:
+            try:
+                coeffs[method] = reward_coefficients(sim.dataset, nuisances, method, "r")
+            except (ValueError, FloatingPointError) as exc:
+                record["methods"][method] = _failure(exc)
+        staged.append((record, sim, nuisances, coeffs))
+    groups = [(list(coeffs.values()), sim.dataset.covariates, record["seed"]) for record, sim, _, coeffs in staged]
     try:
         group_results = _ascend(groups, config.learner)
     except ValueError as exc:
         group_results = [[exc] * len(sets) for sets, _, _ in groups]
     del groups
     for i, results in enumerate(group_results):
-        record, stage = staged[i]
+        record, sim, nuisances, coeffs = staged[i]
         staged[i] = None
-        learned = iter(results)
-        for method, coeffs in stage[2].items():
-            outcome = coeffs if isinstance(coeffs, Exception) else next(learned)
-            record["methods"][method] = _evaluate(stage, method, outcome, config.welfare_scope)
+        for (method, method_coeffs), outcome in zip(coeffs.items(), results):
+            record["methods"][method] = _evaluate(sim, nuisances, method_coeffs, outcome, config.welfare_scope)
     return records
 
 
-def _evaluate(stage: tuple, method: str, outcome, welfare_scope: str) -> dict:
+def _evaluate(sim: SimulatedData, nuisances: NuisanceSet, coeffs: RewardCoefficients, outcome, welfare_scope: str) -> dict:
     """The record entry of one method: the scores of its learned policy, or why it failed."""
     if isinstance(outcome, Exception):
         return _failure(outcome)
-    sim, nuisances, coeffs = stage
     policy, trace = outcome
     try:
         metrics = evaluate_policy(policy, sim, welfare_scope)
         decisions = policy.decide(sim.dataset.covariates)
-        est = estimate(coeffs[method], decisions)
+        est = estimate(coeffs, decisions)
         diag = bias_diagnostic(sim.dataset, sim.truth, nuisances, decisions)
     except (ValueError, FloatingPointError) as exc:
         return _failure(exc)
@@ -227,9 +209,9 @@ def _check_methods(methods: tuple[str, ...]) -> tuple[str, ...]:
 def run_replication(config: ExperimentConfig, replication: int, methods: tuple[str, ...] = DEFAULT_METHODS) -> dict:
     """Run one generate / fit / learn / evaluate cycle.
 
-    Returns a JSON-ready dict. A failure in a shared stage (generation or
-    nuisance fitting) fails the whole replication; a failure inside one
-    method's stage is recorded for that method only.
+    Returns a JSON-ready dict. A failure in a shared step (generation or
+    nuisance fitting) fails the whole replication; a failure of one method's
+    coefficients, learning or evaluation is recorded for that method only.
     """
     methods = _check_methods(methods)
     (record,) = _run_replications(config, range(replication, replication + 1), methods)
@@ -302,7 +284,7 @@ def run_table(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     if workers > 1:
-        # each worker stages and learns a contiguous chunk of replications
+        # each worker builds and learns a contiguous chunk of replications
         chunks = min(workers, replications)
         bounds = [replications * c // chunks for c in range(chunks + 1)]
         ranges = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

@@ -212,6 +212,22 @@ def test_estimate_refuses_a_policy_of_the_wrong_width_before_any_nuisance_fit(tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["direct", "ipw"])
+def test_estimate_refuses_an_estimator_that_does_not_exist_before_reading_the_data(tmp_path, capsys, monkeypatch, method):
+    policy, out = tmp_path / "policy.json", tmp_path / "est.json"
+    policy.write_text(json.dumps({"theta": [0.1, 0.2, 0.3, 0.4], "feature_map": "raw", "p_in": 3}), encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the data was read or a nuisance fitted")
+
+    monkeypatch.setattr(cli, "ingest_csv", refuse)
+    monkeypatch.setattr(cli, "fit_nuisances", refuse)
+    argv = ["estimate", "--data", str(tmp_path / "data.csv"), "--policy", str(policy), "--method", method, "--estimand", "v"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: no estimator for kind={method!r}, estimand='v'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("header, row", [(f"x{'9' * 200_000},g,a,y", "1.0,1,1,2.5"), ("x1,g,a,y", f"1.0,1,1,{'9' * 200_000}")], ids=["header", "row"])
 def test_learn_reports_a_field_beyond_the_csv_limit_as_an_error(tmp_path, capsys, header, row):
     data, out = tmp_path / "data.csv", tmp_path / "policy.json"
@@ -316,6 +332,7 @@ def test_learn_reports_a_non_finite_policy_gradient_as_an_error(tmp_path, config
         (["sweep", "--kind", "treatment", "--grid", "0,inf"], "grid values must be finite"),
         (["sweep", "--kind", "shift", "--grid", "0,1", "--methods", "ipw,se,ipw"], "duplicate methods: ['ipw']"),
         (["sweep", "--kind", "treatment", "--grid", "1,1"], "grid values must be distinct"),
+        (["sweep", "--kind", "shift", "--grid", "0,abc"], "cannot parse grid '0,abc'; expected comma-separated numbers"),
     ],
 )
 def test_misused_table_and_sweep_options_exit_2_and_write_nothing(tmp_path, config_path, capsys, argv, named):

@@ -214,6 +214,16 @@ def test_ingest_refuses_a_file_without_a_covariate_column(tmp_path):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("text, message", [("", "{path}: empty file"), ("x1,g,a,y\n", "{path}: no data rows")], ids=["empty", "header-only"])
+def test_a_file_without_data_rows_is_refused_by_both_readers(tmp_path, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    for read in (ingest_reference, ingest_csv):
+        with pytest.raises(ValueError) as raised:
+            read(path)
+        assert str(raised.value) == message.format(path=path)
+
+
 def test_ingest_rejects_duplicated_covariate_header(tmp_path):
     # the second x1 column would otherwise be read as a copy of the first
     path = tmp_path / "d.csv"
@@ -243,8 +253,10 @@ NAN = np.nan
         (np.zeros((2, 2)), (1, "x1"), "covariate names must be distinct strings"),
         (np.zeros((2, 0)), (), "at least one covariate column"),
         (np.zeros((2, 1)), ("\ufeffx",), "start with a byte-order mark"),
+        (np.zeros(2), (), "covariates must be a 2-d matrix"),
+        (np.zeros((2, 2)), ("x1",), "covariate_names length must match covariate columns"),
     ],
-    ids=["y", "g", "a", "repeated", "not-a-string", "no-covariate", "byte-order-mark"],
+    ids=["y", "g", "a", "repeated", "not-a-string", "no-covariate", "byte-order-mark", "1-d", "names-length"],
 )
 def test_construction_refuses_a_layout_that_write_csv_could_not_read_back(x, names, message):
     with pytest.raises(ValueError, match=message):

@@ -48,6 +48,11 @@ def test_unknown_kind_rejected():
         FeatureMap("cubic", 2)
 
 
+def test_a_map_of_no_covariates_is_refused():
+    with pytest.raises(ValueError, match="p_in must be >= 1"):
+        FeatureMap("raw", 0)
+
+
 def test_sigmoid_is_stable_and_symmetric():
     z = np.array([-800.0, -5.0, 0.0, 5.0, 800.0])
     p = sigmoid(z)

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import fields, is_dataclass, replace
 
@@ -302,6 +303,44 @@ def test_table_csv_long_format(tmp_path):
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "replication,method,metric,value"
     assert len(lines) - 1 == 2 * 3 * len(METRIC_NAMES)
+
+
+def test_table_csv_skips_the_rows_of_a_failed_method(tmp_path, monkeypatch):
+    config = small_config(seed=16)
+    build, tag = harness.reward_coefficients, covariate_tag(config, 1)
+
+    def fail_ipw_of_replication_1(dataset, nuisances, method, estimand):
+        if method == "ipw" and dataset.covariates[0, 0] == tag:
+            raise FitError("injected failure")
+        return build(dataset, nuisances, method, estimand)
+
+    monkeypatch.setattr(harness, "reward_coefficients", fail_ipw_of_replication_1)
+    report = run_table(config, replications=2)
+    path = tmp_path / "table.csv"
+    write_table_csv(report, path)
+    with path.open(encoding="utf-8", newline="") as fh:
+        rows = [(int(row["replication"]), row["method"]) for row in csv.DictReader(fh)]
+    expected = [(r, m) for r in (0, 1) for m in ("direct", "ipw", "se") if (r, m) != (1, "ipw")]
+    assert rows == [key for key in expected for _ in METRIC_NAMES]
+
+
+def test_an_evaluation_failure_is_recorded_for_that_method_alone(monkeypatch):
+    config = small_config(seed=5)
+    clean = run_replication(config, replication=3)
+    diagnose, calls = harness.bias_diagnostic, []
+
+    def fail_the_second_call(*args):
+        calls.append(1)
+        if len(calls) == 2:  # the methods are evaluated in order, so this is ipw's
+            raise FloatingPointError("injected failure")
+        return diagnose(*args)
+
+    monkeypatch.setattr(harness, "bias_diagnostic", fail_the_second_call)
+    record = run_replication(config, replication=3)
+    assert list(record["methods"]) == ["direct", "ipw", "se"]
+    assert record["methods"]["ipw"] == {"error": "FloatingPointError: injected failure"}
+    for method in ("direct", "se"):
+        assert json.dumps(record["methods"][method]) == json.dumps(clean["methods"][method])
 
 
 def test_config_round_trips_through_dict():

@@ -1,9 +1,14 @@
 import ast
 import importlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import policyshift
 
@@ -49,6 +54,8 @@ PUBLIC_NAMES = [
     "write_truth_csv",
 ]
 
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
 
 def test_public_surface_is_the_pinned_list():
     exported = policyshift.__all__
@@ -58,7 +65,7 @@ def test_public_surface_is_the_pinned_list():
 
 
 def test_every_name_a_demo_imports_from_the_package_resolves():
-    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    demos = sorted(DEMOS.glob("*.py"))
     assert demos
     for demo in demos:
         for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"))):
@@ -66,6 +73,17 @@ def test_every_name_a_demo_imports_from_the_package_resolves():
                 module = importlib.import_module(node.module)
                 missing = [alias.name for alias in node.names if not hasattr(module, alias.name)]
                 assert not missing, f"{demo.name} imports {missing} from {node.module}"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_every_demo_runs(tmp_path, demo):
+    # a copy, so that a demo writing next to itself writes under tmp_path
+    script = tmp_path / demo
+    shutil.copyfile(DEMOS / demo, script)
+    env = {**os.environ, "PYTHONPATH": str(DEMOS.parent / "src")}
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
 
 
 def test_no_module_imports_a_name_it_never_uses():

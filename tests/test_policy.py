@@ -115,6 +115,11 @@ def test_a_linear_policy_refuses_a_theta_that_is_not_a_finite_vector(theta):
         LinearPolicy(theta=np.array(theta), fmap=FeatureMap("raw", 1))
 
 
+def test_a_linear_policy_refuses_a_theta_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^theta has 3 entries, feature map produces 4$"):
+        LinearPolicy(theta=np.zeros(3), fmap=FeatureMap("raw", 3))
+
+
 def test_a_policy_file_with_a_temperature_loads_and_decides_as_before():
     payload = {"theta": [0.2, -1.0, 0.5], "feature_map": "raw", "p_in": 2, "temperature": 0.3}
     policy = LinearPolicy.from_dict(payload)

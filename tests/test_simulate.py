@@ -128,6 +128,10 @@ def test_invalid_configs_rejected():
         SimConfig(n_source=0)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         SimConfig(seed=-3)
+    with pytest.raises(ValueError, match="noise_sd must be nonnegative"):
+        SimConfig(noise_sd=-1.0)
+    with pytest.raises(ValueError, match="cov_source must be symmetric"):
+        SimConfig(cov_source=((1.0, 0.5, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
     # the outcome surfaces read exactly three covariates
     with pytest.raises(ValueError, match=r"mu_source must have shape \(3,\)"):
         SimConfig(mu_source=(1.0, 2.0))

@@ -30,6 +30,11 @@ def test_t_tail_refuses_a_nan_statistic():
         t_sf_two_sided(math.nan, 5)
 
 
+def test_t_tail_refuses_fewer_than_one_degree_of_freedom():
+    with pytest.raises(ValueError, match="degrees of freedom must be >= 1"):
+        t_sf_two_sided(1.0, 0)
+
+
 def test_t_tail_matches_scipy_to_1e10():
     rng = np.random.default_rng(1)
     for _ in range(300):
