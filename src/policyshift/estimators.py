@@ -122,30 +122,40 @@ def _policy_values(policy_values: np.ndarray, n: int) -> np.ndarray:
     return pi
 
 
+def _power_of_two_scale(*arrays: np.ndarray) -> float:
+    """The largest power of two at or below the largest magnitude in ``arrays`` (1 if all are 0); refuses non-finite entries.
+
+    Dividing by it is exact, so moments taken over the quotients and multiplied back are the unscaled ones where finite.
+    """
+    tops = [max(float(x.max()), -float(x.min())) for x in arrays]
+    if not all(math.isfinite(top) for top in tops):
+        raise ValueError("reward coefficients a and b must be finite")
+    top = max(tops)
+    return math.ldexp(1.0, math.frexp(top)[1] - 1) if top > 0.0 else 1.0
+
+
 def estimate(coeffs: RewardCoefficients, policy_values: np.ndarray) -> RewardEstimate:
     """Evaluate the decomposition at given policy values in [0, 1].
 
     The influence values subtract the estimate through the estimand's
     identification weight, which makes their mean exactly zero; the standard
-    error is their sample standard deviation divided by sqrt(n). Moments of
-    finite coefficients that overflow are taken over the largest magnitude and
-    scaled back; a value or interval beyond the float range raises
-    ``FloatingPointError``.
+    error is their sample standard deviation divided by sqrt(n). Both are taken
+    over the coefficients divided by a power of two and multiplied back, which
+    is exact and keeps finite moments finite; a value or interval beyond the
+    float range raises ``FloatingPointError``, coefficients that are empty,
+    unequal in length or not finite raise ``ValueError``.
     """
+    shapes = [np.shape(x) for x in (coeffs.a, coeffs.b, coeffs.center_weight)]
+    if len(set(shapes)) > 1 or len(shapes[0]) != 1 or shapes[0] == (0,):
+        raise ValueError(f"coefficients a, b and center_weight have shapes {shapes}, expected one shape (n,) with n >= 1")
+    if not np.isfinite(coeffs.center_weight).all():
+        raise ValueError("coefficient center_weight must be finite")
     pi = _policy_values(policy_values, coeffs.n)
-
-    def moments(scale: float) -> tuple[float, float]:
-        """Value and standard error taken of the coefficients over ``scale``, then scaled back."""
-        contributions = pi * (coeffs.a / scale) + coeffs.b / scale
-        value = float(contributions.mean())
-        sd = float((contributions - value * coeffs.center_weight).std(ddof=1)) if coeffs.n > 1 else math.nan
-        return scale * value, scale * (sd / math.sqrt(coeffs.n))
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        value, std_error = moments(1.0)
-        if not (math.isfinite(value) and (coeffs.n < 2 or math.isfinite(std_error))):
-            # sums of finite coefficients overflowed: take them over the largest magnitude
-            value, std_error = moments(max(float(np.max(np.abs(coeffs.a))), float(np.max(np.abs(coeffs.b)))))
+    scale = _power_of_two_scale(coeffs.a, coeffs.b)
+    contributions = pi * (coeffs.a / scale) + coeffs.b / scale
+    value = float(contributions.mean())
+    sd = float((contributions - value * coeffs.center_weight).std(ddof=1)) if coeffs.n > 1 else math.nan
+    value, std_error = scale * value, scale * (sd / math.sqrt(coeffs.n))
     result = RewardEstimate(value, std_error, value - Z_95 * std_error, value + Z_95 * std_error)
     if any(math.isinf(field) for field in astuple(result)):
         raise FloatingPointError("the reward estimate or its interval overflows; rescale the outcomes")
@@ -198,18 +208,15 @@ def generalization_bound(
 
     Evaluates sqrt(log(2|Pi|/eta) / (2 n^2) * sum_i r_i^2) where r_i is the
     weighted outcome residual of source row i, its efficient coefficient a_i;
-    target rows carry no outcome and contribute zero.
+    target rows carry no outcome and contribute zero. The residuals are squared
+    divided by a power of two and the root multiplied back, which is exact and finite.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
     if policy_class_size < 1:
         raise ValueError("policy_class_size must be >= 1")
     residuals = reward_coefficients(dataset, nuisances, "se", "r").a[dataset.source_mask]
-    n = dataset.n
-    # squared after scaling by the largest magnitude, so finite residuals give a finite sum
-    scale = float(np.max(np.abs(residuals)))
-    term = 0.0
-    if scale > 0.0:
-        total = float(np.sum((residuals / scale) ** 2))
-        term = scale * float(np.sqrt(np.log(2.0 * policy_class_size / eta) / (2.0 * n * n) * total))
+    n, scale = dataset.n, _power_of_two_scale(residuals)
+    total = float(np.sum((residuals / scale) ** 2))
+    term = scale * float(np.sqrt(np.log(2.0 * policy_class_size / eta) / (2.0 * n * n) * total))
     return BoundReport(eta=eta, policy_class_size=policy_class_size, bound_term=term, bias_diagnostic=bias)

@@ -32,6 +32,9 @@ class FitError(ValueError):
 
 
 def _penalty_matrix(k: int, ridge: float) -> np.ndarray:
+    """The ridge penalty of ``k`` coefficients, intercept unpenalized; refuses a ridge that is negative or not finite."""
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be nonnegative and finite, got {ridge!r}")
     D = np.eye(k) * ridge
     D[0, 0] = 0.0  # intercept unpenalized
     return D
@@ -65,8 +68,6 @@ class LinearModel:
 
 def fit_ridge(features: np.ndarray, y: np.ndarray, fmap: FeatureMap, ridge: float) -> LinearModel:
     """Exact solution of the ridge normal equations (intercept unpenalized); ``FitError`` if it is not finite."""
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
     Phi = fmap.expand(features)
     n, k = Phi.shape
     if n < k:

@@ -116,8 +116,8 @@ def _ascend(
     the best full-data smoothed objective, the initial point included, or the
     ``FloatingPointError`` of a set whose theta went non-finite, which leaves
     the other sets unchanged. Every group is checked before any work: groups
-    that do not share the covariate shape, misaligned rows or a batch size
-    beyond the rows raise ``ValueError``.
+    that do not share the covariate shape, non-finite covariates, misaligned
+    rows or a batch size beyond the rows raise ``ValueError``.
 
     Every product is a stack of the (rows, k) @ (k, 1) and (1, rows) @
     (rows, k) matrix-vector products that one set on its own computes, so each
@@ -135,6 +135,8 @@ def _ascend(
     covariates = [np.atleast_2d(np.asarray(X, dtype=float)) for _, X, _ in groups]
     if len({X.shape for X in covariates}) > 1:
         raise ValueError("groups must share the covariate shape")
+    if not all(np.isfinite(X).all() for X in covariates):
+        raise ValueError("covariates must be finite")
     n, p = covariates[0].shape
     if any(coeffs.n != n for coeffs_seq, _, _ in groups for coeffs in coeffs_seq):
         raise ValueError("coefficients and covariates are not aligned")

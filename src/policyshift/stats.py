@@ -17,36 +17,23 @@ _FPMIN = 1e-300
 _EPS = 1e-15
 
 
+def _floored(v: float) -> float:
+    """``v``, or ``_FPMIN`` when its magnitude is below that, so that no Lentz step divides by zero."""
+    return _FPMIN if abs(v) < _FPMIN else v
+
+
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the regularized incomplete beta function."""
+    """Continued fraction for the regularized incomplete beta function, one Lentz step per coefficient."""
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
+    c, d = 1.0, 1.0 / _floored(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)), -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _floored(1.0 + aa * d)
+            c = _floored(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise RuntimeError("incomplete beta continued fraction failed to converge")

@@ -219,6 +219,37 @@ def test_estimate_stays_finite_when_the_mean_of_finite_contributions_would_overf
             estimate(RewardCoefficients(a=a, b=b, center_weight=np.ones(len(a))), np.ones(len(a)))
 
 
+def test_estimate_is_the_plain_mean_and_standard_deviation_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for n in (2, 7, 300, 2560):
+        a, b = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 6.0, n) for _ in range(2))
+        center_weight, pi = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 1.0, n)
+        est = estimate(RewardCoefficients(a=a, b=b, center_weight=center_weight), pi)
+        contributions = pi * a + b
+        value = float(np.mean(contributions))
+        std_error = float(np.std(contributions - value * center_weight, ddof=1)) / np.sqrt(n)
+        assert (est.value, est.std_error) == (value, std_error)
+        assert (est.ci_low, est.ci_high) == (value - Z_95 * std_error, value + Z_95 * std_error)
+
+
+@pytest.mark.parametrize(
+    "a, b, center_weight, message",
+    [
+        ([np.inf, 1.0], [0.0, 0.0], [1.0, 1.0], "^reward coefficients a and b must be finite$"),
+        ([1.0, 2.0], [np.nan, 0.0], [1.0, 1.0], "^reward coefficients a and b must be finite$"),
+        ([1.0, 2.0], [0.0, 0.0], [np.nan, 1.0], "^coefficient center_weight must be finite$"),
+        ([], [], [], r"have shapes \[\(0,\), \(0,\), \(0,\)\], expected one shape \(n,\) with n >= 1$"),
+        ([1.0, 2.0, 3.0], [0.0, 0.0], [1.0, 1.0, 1.0], r"have shapes \[\(3,\), \(2,\), \(3,\)\]"),
+        ([[1.0, 2.0]], [[0.0, 0.0]], [[1.0, 1.0]], r"have shapes \[\(1, 2\), \(1, 2\), \(1, 2\)\]"),
+    ],
+    ids=["infinite-a", "nan-b", "nan-center-weight", "empty", "unequal-lengths", "two-d"],
+)
+def test_estimate_refuses_coefficients_it_cannot_average(a, b, center_weight, message):
+    coeffs = RewardCoefficients(a=np.array(a), b=np.array(b), center_weight=np.array(center_weight))
+    with pytest.raises(ValueError, match=message):
+        estimate(coeffs, np.ones(coeffs.n))
+
+
 def test_estimate_is_linear_in_policy():
     rng = np.random.default_rng(12)
     ds, vals, pi = random_small_dataset(rng)
@@ -405,6 +436,16 @@ def test_bound_stays_finite_when_the_squared_residuals_would_overflow():
     assert scale > np.sqrt(np.finfo(float).max)  # so the unscaled squares would overflow
     scaled = scale * np.sqrt(np.log(2 * 100 / 0.05) / (2 * ds.n**2) * np.sum((r / scale) ** 2))
     assert np.isfinite(report.bound_term) and close(report.bound_term, scaled, tol=1e-12)
+
+
+def test_bound_is_the_plain_formula_bit_for_bit_on_the_default_design():
+    for seed in (0, 1, 2):
+        ds = generate(SimConfig(seed=seed)).dataset
+        ns = fit_nuisances(ds)
+        r = reward_coefficients(ds, ns, "se", "r").a[ds.source_mask]
+        for eta, size in ((0.05, 100), (0.01, 7)):
+            plain = float(np.sqrt(np.log(2.0 * size / eta) / (2.0 * ds.n * ds.n) * float(np.sum(r**2))))
+            assert generalization_bound(ds, ns, eta=eta, policy_class_size=size).bound_term == plain
 
 
 def test_bound_validates_inputs():

@@ -150,14 +150,31 @@ def test_logistic_invariant_to_row_duplication():
     assert np.allclose(once.beta, twice.beta, atol=1e-6)
 
 
+TWO_CLASSES = (np.arange(6.0)[:, None], np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0]))
+
+
 @pytest.mark.parametrize(
     "fit, message",
     [
-        (lambda: fit_ridge(np.ones((5, 1)), np.ones(5), RAW1, ridge=-1.0), "^ridge must be nonnegative$"),
+        (lambda: fit_ridge(np.ones((5, 1)), np.ones(5), RAW1, ridge=-1.0), r"^ridge must be nonnegative and finite, got -1\.0$"),
+        (lambda: fit_ridge(np.ones((5, 1)), np.ones(5), RAW1, ridge=np.nan), "^ridge must be nonnegative and finite, got nan$"),
+        (lambda: fit_ridge(np.ones((5, 1)), np.ones(5), RAW1, ridge=np.inf), "^ridge must be nonnegative and finite, got inf$"),
+        (lambda: fit_logistic(*TWO_CLASSES, RAW1, ridge=-0.01), r"^ridge must be nonnegative and finite, got -0\.01$"),
+        (lambda: fit_logistic(*TWO_CLASSES, RAW1, ridge=np.nan), "^ridge must be nonnegative and finite, got nan$"),
+        (lambda: fit_logistic(*TWO_CLASSES, RAW1, ridge=np.inf), "^ridge must be nonnegative and finite, got inf$"),
         (lambda: fit_ridge(np.ones((2, 2)), np.ones(2), FeatureMap("raw", 2), ridge=1.0), "^need at least 3 rows to fit 3 coefficients, got 2$"),
         (lambda: fit_logistic(np.ones((4, 1)), np.array([0.0, 1.0, 0.5, 1.0]), RAW1, ridge=1.0), "^labels must be 0/1$"),
     ],
-    ids=["negative-ridge", "too-few-rows", "fractional-label"],
+    ids=[
+        "negative-ridge",
+        "nan-ridge",
+        "infinite-ridge",
+        "logistic-negative-ridge",
+        "logistic-nan-ridge",
+        "logistic-infinite-ridge",
+        "too-few-rows",
+        "fractional-label",
+    ],
 )
 def test_the_fitters_refuse_arguments_they_cannot_fit(fit, message):
     with pytest.raises(ValueError, match=message):

@@ -432,6 +432,22 @@ def test_an_error_while_drawing_an_epoch_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_covariates_are_refused_before_any_work(monkeypatch, bad):
+    groups = small_groups(np.random.default_rng(6), (1, 2))
+    coeffs, x, seed = groups[1]
+    x = x.copy()
+    x[7, 1] = bad
+    config = LearnerConfig(max_epochs=4, batch_size=16)
+    expanded = []
+    monkeypatch.setattr(FeatureMap, "expand", lambda self, x: expanded.append(x))
+    with pytest.raises(ValueError, match="^covariates must be finite$"):
+        _ascend([groups[0], (coeffs, x, seed)], config)
+    with pytest.raises(ValueError, match="^covariates must be finite$"):
+        learn_policy(coeffs[0], x, config, seed=seed)
+    assert expanded == []
+
+
 def test_a_misaligned_group_or_an_oversized_batch_fails_the_whole_ascent(monkeypatch):
     groups = small_groups(np.random.default_rng(5), (2, 2, 2))
     config = LearnerConfig(max_epochs=8, batch_size=30)

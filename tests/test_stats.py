@@ -43,6 +43,24 @@ def test_t_tail_matches_scipy_to_1e10():
         assert t_sf_two_sided(t, df) == pytest.approx(2.0 * stats.t.sf(abs(t), df), abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "t, df, pinned",
+    [
+        (0.75, 19, "0x1.d98a453539aacp-2"),
+        (1.25, 2, "0x1.59d6e517d2dcdp-2"),
+        (1.5, 9, "0x1.57c215b304b04p-3"),
+        (2.0, 120, "0x1.873ce42104c5ep-5"),
+        (2.25, 1, "0x1.10a3ced1a020ep-2"),
+        (3.0, 3, "0x1.d86c6b37d8215p-5"),
+        (4.0, 19, "0x1.91b4983f2a866p-11"),
+    ],
+)
+def test_t_tail_keeps_its_last_bit(t, df, pinned):
+    # the Lentz update d = 1/(1 + aa*d), c = 1 + aa/c, h *= d*c, even coefficient first and convergence checked
+    # after each pair; any other order moves the last bits of these values
+    assert t_sf_two_sided(t, df).hex() == pinned
+
+
 def test_paired_identical_series_degenerate():
     a = np.array([1.0, 2.0, 3.0])
     result = paired_t_test(a, a)
