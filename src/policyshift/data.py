@@ -176,8 +176,17 @@ class CombinedDataset:
         return self.n_source / self.n
 
 
-# rows read, converted and written together; bounds the cell strings held at once
-_BLOCK_ROWS = 4096
+# Rows are read, converted and written a block at a time. A block holds about
+# _BLOCK_CELLS cell strings, so the strings held at once do not grow with the
+# width, and at least _MIN_BLOCK_ROWS rows, so that a wide file does not pay
+# one np.fromiter call per column for every row or two.
+_BLOCK_CELLS = 2048
+_MIN_BLOCK_ROWS = 64
+
+
+def _block_rows(width: int) -> int:
+    """The rows of a block of ``width`` cells a row."""
+    return max(_MIN_BLOCK_ROWS, _BLOCK_CELLS // width)
 
 
 def _parse_cell(raw: str, line: int, column: str) -> float:
@@ -189,9 +198,19 @@ def _parse_cell(raw: str, line: int, column: str) -> float:
         raise ValueError(f"line {line}, column {column}: cannot parse {raw!r} as a number") from None
 
 
+def _line_breaks(row: list[str]) -> int:
+    """The line breaks (``\\r\\n``, ``\\r`` or ``\\n``) inside a record's quoted cells."""
+    return sum(cell.count("\n") + cell.count("\r") - cell.count("\r\n") for cell in row)
+
+
 def _raise_first_fault(rows: list[list[str]], first_line: int, header: list[str], numeric: list[str]) -> None:
-    """Raise the error of the first faulty row: its cell count, then ``g``, then each numeric column in turn."""
-    for line, row in enumerate(rows, start=first_line):
+    """Raise the error of the first faulty row: its cell count, then ``g``, then each numeric column in turn.
+
+    ``first_line`` is the physical line on which the first row starts; a
+    row's error names the line on which that row starts.
+    """
+    line = first_line
+    for row in rows:
         if len(row) != len(header):
             raise ValueError(f"line {line}: expected {len(header)} cells, got {len(row)}")
         g_raw = row[header.index(GROUP)]
@@ -199,6 +218,7 @@ def _raise_first_fault(rows: list[list[str]], first_line: int, header: list[str]
             raise ValueError(f"line {line}, column {GROUP}: group must be literal 0 or 1, got {g_raw!r}")
         for name in numeric:
             _parse_cell(row[header.index(name)], line, name)
+        line += 1 + _line_breaks(row)
 
 
 def _float_column(cells: tuple[str, ...]) -> np.ndarray:
@@ -208,17 +228,18 @@ def _float_column(cells: tuple[str, ...]) -> np.ndarray:
     return np.fromiter(map(float, cells), float, len(cells))
 
 
-def _convert_block(rows: list[list[str]], header: list[str], numeric: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The group column and the (rows, numeric columns) values of a block; any fault raises ValueError."""
+def _convert_block(rows: list[list[str]], header: list[str], numeric_at: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The group column and the (rows, numeric columns) values of a block, the numeric columns
+    being at the indices ``numeric_at`` of ``header``; any fault raises ValueError."""
     if set(map(len, rows)) != {len(header)}:
         raise ValueError("a row has the wrong number of cells")
     columns = list(zip(*rows))
     group = columns[header.index(GROUP)]
     if not {"0", "1"}.issuperset(group):
         raise ValueError("a group cell is neither 0 nor 1")
-    values = np.empty((len(rows), len(numeric)))
-    for j, name in enumerate(numeric):
-        values[:, j] = _float_column(columns[header.index(name)])
+    values = np.empty((len(rows), len(numeric_at)))
+    for j, at in enumerate(numeric_at):
+        values[:, j] = _float_column(columns[at])
     return np.fromiter(map(int, group), int, len(rows)), values
 
 
@@ -230,8 +251,11 @@ def ingest_csv(path: str | Path) -> CombinedDataset:
     is required; ``a`` and ``y`` are optional (a file with neither describes a
     pure target-domain extract and is refused if it has source rows).
     Empty cells mean absent; the group column must hold literal 0 or 1. Rows
-    are converted a block at a time, column by column; an error names the
-    first faulty row and, within it, the first faulty cell.
+    are converted a block of about 2,048 cells (and at least 64 rows) at a
+    time, column by column, and each array is the concatenation of its
+    blocks' columns, so no table of every numeric column is built. An error
+    names the physical line on which the first faulty row starts and, within
+    it, the first faulty cell.
     """
     path = Path(path)
     # "utf-8-sig" drops the byte-order mark that spreadsheet exports put before the header
@@ -257,11 +281,13 @@ def ingest_csv(path: str | Path) -> CombinedDataset:
 
         groups: list[np.ndarray] = []
         values: list[np.ndarray] = []
-        line = 2
+        numeric_at = [header.index(name) for name in numeric]
+        block_rows = _block_rows(len(header))
         while True:
+            line = reader.line_num + 1  # the physical line on which the block's first row starts
             rows: list[list[str]] = []
             try:
-                rows.extend(itertools.islice(reader, _BLOCK_ROWS))
+                rows.extend(itertools.islice(reader, block_rows))
             except (csv.Error, UnicodeDecodeError) as exc:
                 _raise_first_fault(rows, line, header, numeric)  # rows read before the bad one come first
                 if isinstance(exc, csv.Error):
@@ -270,23 +296,26 @@ def ingest_csv(path: str | Path) -> CombinedDataset:
             if not rows:
                 break
             try:
-                group, block = _convert_block(rows, header, numeric)
+                group, block = _convert_block(rows, header, numeric_at)
             except ValueError:
                 _raise_first_fault(rows, line, header, numeric)
                 raise
             groups.append(group)
             values.append(block)
-            line += len(rows)
 
     if not groups:
         raise ValueError(f"{path}: no data rows")
-    table = np.concatenate(values)
-    absent = np.full(len(table), np.nan)
+    group = np.concatenate(groups)
+    absent = np.full(len(group), np.nan)
+
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([block[:, numeric.index(name)] for block in values]) if name in numeric else absent
+
     return CombinedDataset(
-        covariates=table[:, : len(cov_names)],
-        group=np.concatenate(groups),
-        treatment=table[:, numeric.index(TREATMENT)] if TREATMENT in numeric else absent,
-        outcome=table[:, numeric.index(OUTCOME)] if OUTCOME in numeric else absent,
+        covariates=np.concatenate([block[:, : len(cov_names)] for block in values]),
+        group=group,
+        treatment=column(TREATMENT),
+        outcome=column(OUTCOME),
         covariate_names=tuple(cov_names),
     )
 
@@ -298,15 +327,17 @@ def _cells(values: list, integral: bool) -> list[str]:
 
 
 def _write_columns(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray], integral=()) -> None:
-    """Write equal-length columns under ``header``, formatting a block of rows at a time.
+    """Write equal-length columns under ``header``, formatting a block of about 2,048 cells
+    (and at least 64 rows) at a time.
 
     Columns named in ``integral`` hold whole numbers and are written as such.
     """
+    block_rows = _block_rows(len(header))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            cells = [_cells(c[start : start + _BLOCK_ROWS].tolist(), h in integral) for h, c in zip(header, columns)]
+        for start in range(0, len(columns[0]), block_rows):
+            cells = [_cells(c[start : start + block_rows].tolist(), h in integral) for h, c in zip(header, columns)]
             writer.writerows(zip(*cells))
 
 

@@ -9,7 +9,8 @@ them and the surfaces as whole arrays, and forms the reward with one
 temporary per operation; the expansion reference stacks its columns. The
 surface oracle decides straight from the generator's outcome surfaces. The
 CSV reference reads a combined dataset one row at a time, cell by cell, and
-the layout reference lists a dataset's faults one cell at a time.
+the writer reference writes every row with one ``csv.writer`` call; the
+layout reference lists a dataset's faults one cell at a time.
 """
 
 from __future__ import annotations
@@ -251,9 +252,14 @@ def _parse_cell_reference(raw: str, line: int, column: str) -> float:
 
 
 def _records(reader):
-    """The reader's records; a record the csv module cannot read raises ValueError naming its line."""
+    """The reader's records, each with the physical line on which it starts (one past the line on
+    which the record before it ended); a record the csv module cannot read raises ValueError naming
+    its line."""
     try:
-        yield from reader
+        start = reader.line_num + 1
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from None
 
@@ -287,7 +293,7 @@ def ingest_reference(path) -> CombinedDataset:
         rows_g: list[int] = []
         rows_a: list[float] = []
         rows_y: list[float] = []
-        for line_no, row in enumerate(_records(reader), start=2):
+        for line_no, row in _records(reader):
             if len(row) != len(header):
                 raise ValueError(f"line {line_no}: expected {len(header)} cells, got {len(row)}")
             g_raw = row[idx[GROUP]]
@@ -309,6 +315,22 @@ def ingest_reference(path) -> CombinedDataset:
         outcome=np.array(rows_y, dtype=float),
         covariate_names=tuple(cov_names),
     )
+
+
+def write_columns_reference(path, header, columns, integral=()) -> None:
+    """Equal-length columns written under ``header`` by one ``csv.writer`` call over every row, each
+    cell formatted on its own: NaN as an empty cell, ``str(int(v))`` in a column named in
+    ``integral``, and ``repr(float(v))`` otherwise."""
+
+    def cell(value, whole: bool) -> str:
+        value = float(value)
+        if math.isnan(value):
+            return ""
+        return str(int(value)) if whole else repr(value)
+
+    rows = [[cell(column[i], name in integral) for name, column in zip(header, columns)] for i in range(len(columns[0]))]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([list(header), *rows])
 
 
 def dataset_problems_reference(covariates, group, treatment, outcome, names) -> list[str]:

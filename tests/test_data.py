@@ -9,11 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from policyshift import CombinedDataset, generate, ingest_csv, write_csv
+from policyshift import CombinedDataset, generate, ingest_csv, write_csv, write_truth_csv
 from policyshift import data
-from policyshift.simulate import SimConfig
+from policyshift.simulate import SIDECAR_COLUMNS, SimConfig
 
-from reference import dataset_problems_reference, ingest_reference
+from reference import dataset_problems_reference, ingest_reference, write_columns_reference
 
 
 def make_dataset(group, treatment, outcome, x=None):
@@ -331,8 +331,9 @@ def read_outcome(read, path):
     return ds.covariate_names, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
-# cells that float() reads in ways a hand-written parser might not; the last two fail validation
-EDGE_CELLS = (" 1.5", "1_0", "-0.0", "5e-324", "1e400", "nan")
+# cells that float() reads in ways a hand-written parser might not (the fifth spans three physical
+# lines, so a later error names a line beyond its row count); the last two fail validation
+EDGE_CELLS = (" 1.5", "1_0", "-0.0", "5e-324", "\r\n2.5\n", "1e400", "nan")
 FAULTS = ("oops", " ", "1.5.2", "true", "0x1", "1,5")
 
 
@@ -342,7 +343,7 @@ def csv_files(draw, block_rows: int):
     mark and shuffled columns, and up to two injected faults (a bad cell or a wrong cell count)."""
     n = draw(st.integers(block_rows + 1, 3 * block_rows + 2))
     p = draw(st.integers(1, 3))
-    edges = EDGE_CELLS if draw(st.booleans()) else EDGE_CELLS[:4]
+    edges = EDGE_CELLS if draw(st.booleans()) else EDGE_CELLS[:5]
     number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from(edges))
     header = [f"x{j + 1}" for j in range(p)] + ["g", "a", "y"]
     order = draw(st.permutations(range(len(header))))
@@ -373,9 +374,21 @@ def csv_files(draw, block_rows: int):
 def test_block_reader_matches_the_row_reader_bit_for_bit_and_error_for_error(tmp_path, block_rows, data_):
     path = tmp_path / "d.csv"
     path.write_text(data_.draw(csv_files(block_rows)), encoding="utf-8")
-    with mock.patch.object(data, "_BLOCK_ROWS", block_rows):
+    # no cell budget, so every block holds the floor's rows
+    spy = mock.Mock(wraps=data._convert_block)
+    with (
+        mock.patch.object(data, "_BLOCK_CELLS", 0),
+        mock.patch.object(data, "_MIN_BLOCK_ROWS", block_rows),
+        mock.patch.object(data, "_convert_block", spy),
+    ):
         got = read_outcome(ingest_csv, path)
     assert got == read_outcome(ingest_reference, path)
+    sizes = [len(call.args[0]) for call in spy.call_args_list]
+    assert sizes[0] == max(sizes) == block_rows
+
+
+def test_a_block_holds_about_2048_cells_and_at_least_64_rows():
+    assert [data._block_rows(width) for width in (1, 5, 6, 32, 33, 63, 303, 1003)] == [2048, 409, 341, 64, 64, 64, 64, 64]
 
 
 def faulty_file(n: int, faults: list[tuple[int, int, str]]) -> str:
@@ -390,7 +403,7 @@ def faulty_file(n: int, faults: list[tuple[int, int, str]]) -> str:
     return "\n".join(["x1,x2,g,a,y", *map(",".join, rows)]) + "\n"
 
 
-B = data._BLOCK_ROWS
+B = data._block_rows(5)  # the rows of a block of faulty_file
 MALFORMED = {
     "bad cell": (5, [(3, 1, "oops")], "line 5, column x2: cannot parse 'oops' as a number"),
     "bad g": (5, [(2, 2, "2")], "line 4, column g: group must be literal 0 or 1, got '2'"),
@@ -405,16 +418,50 @@ MALFORMED = {
 }
 
 
+def assert_both_readers_raise(path, message: str) -> None:
+    for read in (ingest_reference, ingest_csv):
+        with pytest.raises(ValueError) as raised:
+            read(path)
+        assert str(raised.value) == message, read.__name__
+
+
 @pytest.mark.parametrize("n, faults, message", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_files_give_the_row_readers_error(tmp_path, n, faults, message):
     path = tmp_path / "d.csv"
     path.write_text(faulty_file(n, faults), encoding="utf-8")
-    with pytest.raises(ValueError) as want:
-        ingest_reference(path)
-    assert str(want.value) == message
-    with pytest.raises(ValueError) as got:
-        ingest_csv(path)
-    assert str(got.value) == message
+    assert_both_readers_raise(path, message)
+
+
+# faults around quoted cells that float() reads and that span two or three physical lines
+MULTI_LINE = {
+    "fault before a multi-line cell": (5, [(1, 1, "oops"), (3, 0, '"1\n\n"')], "line 3, column x2: cannot parse 'oops' as a number"),
+    "fault after a multi-line cell": (5, [(1, 0, '"1\n"'), (3, 1, "oops")], "line 6, column x2: cannot parse 'oops' as a number"),
+    "fault in the multi-line row": (5, [(2, 0, '"\n1"'), (2, 2, "2")], "line 4, column g: group must be literal 0 or 1, got '2'"),
+    "breaks written \\r\\n and \\r": (5, [(0, 1, '"\r\n-0.0\r"'), (2, 3, "a?")], "line 6, column a: cannot parse 'a?' as a number"),
+    "multi-line row ends a block": (B + 3, [(B - 1, 0, '"\n1.5\n"'), (B, 3, "1.0.0")], f"line {B + 4}, column a: cannot parse '1.0.0' as a number"),
+    "multi-line row a block before": (2 * B, [(2, 1, '"\r\n\r\n0"'), (B + 1, -1, "")], f"line {B + 5}: expected 5 cells, got 4"),
+}
+
+
+@pytest.mark.parametrize("n, faults, message", MULTI_LINE.values(), ids=MULTI_LINE.keys())
+def test_an_error_names_the_physical_line_on_which_its_row_starts(tmp_path, n, faults, message):
+    path = tmp_path / "d.csv"
+    path.write_text(faulty_file(n, faults), encoding="utf-8")
+    assert_both_readers_raise(path, message)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('x1,g,a,y\n"1\n",1,1,2.5\n2.0,0,,\n3.0,0,,oops\n', "line 5, column y: cannot parse 'oops' as a number"),
+        ('"x\n1",g,a,y\n1.0,1,1,oops\n2.0,0,,\n', "line 3, column y: cannot parse 'oops' as a number"),
+    ],
+    ids=["in a row", "in the header"],
+)
+def test_the_line_of_a_bad_cell_after_a_quoted_line_break(tmp_path, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    assert_both_readers_raise(path, message)
 
 
 def test_a_bad_cell_is_reported_before_a_later_unreadable_row_of_its_block(tmp_path):
@@ -453,15 +500,86 @@ def test_a_field_beyond_the_csv_limit_is_a_value_error_naming_its_line(tmp_path,
         assert str(raised.value) == message.format(path=path)
 
 
-def test_ingesting_a_20480_row_file_peaks_at_most_4_5_mib(tmp_path):
-    # shaped like the csv_policy benchmark file: 4,096 source and 16,384 target rows of 3 covariates
-    path = tmp_path / "d.csv"
-    write_csv(generate(SimConfig(n_source=4096, n_target=16384, seed=3_000_000)).dataset, path)
+def traced_peak(call):
+    """What ``call()`` returns, and the peak of the memory traced while it ran, in bytes."""
     tracemalloc.start()
     try:
-        ds = ingest_csv(path)
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def csv_policy_dataset() -> CombinedDataset:
+    """Shaped like the csv_policy benchmark file: 4,096 source and 16,384 target rows of 3 covariates."""
+    return generate(SimConfig(n_source=4096, n_target=16384, seed=3_000_000)).dataset
+
+
+def wide_dataset(n: int, p: int, seed: int = 0) -> CombinedDataset:
+    """``n`` rows of ``p`` normal covariates, every fourth row a source row."""
+    rng = np.random.default_rng(seed)
+    group = (np.arange(n) % 4 == 0).astype(int)
+    arm = np.where(group == 1, (np.arange(n) // 4) % 2, np.nan)
+    return make_dataset(group, arm, np.where(group == 1, rng.normal(size=n), np.nan), x=rng.normal(size=(n, p)))
+
+
+def test_ingesting_a_20480_row_file_peaks_at_most_3_mib(tmp_path):
+    # 2.56 MiB measured (blocks of 341 rows, and the arrays concatenated from the blocks' columns)
+    path = tmp_path / "d.csv"
+    write_csv(csv_policy_dataset(), path)
+    ds, peak = traced_peak(lambda: ingest_csv(path))
     assert ds.n == 20480
-    assert peak <= 4.5 * 2**20, f"peak {peak} bytes"
+    assert peak <= 3 * 2**20, f"peak {peak} bytes"
+
+
+def test_ingesting_a_wide_file_peaks_at_most_2_5_times_its_arrays(tmp_path):
+    # 2.31 times measured: the blocks' values and the concatenated arrays, plus one block of 64 rows' strings
+    path = tmp_path / "d.csv"
+    write_csv(wide_dataset(4096, 60), path)
+    ds, peak = traced_peak(lambda: ingest_csv(path))
+    arrays = sum(getattr(ds, name).nbytes for name in ("covariates", "group", "treatment", "outcome"))
+    assert peak <= 2.5 * arrays, f"peak {peak} bytes, {peak / arrays:.2f} times the arrays"
+
+
+@pytest.mark.parametrize("shape", ["csv_policy", "60 covariates"])
+def test_writing_a_csv_peaks_under_1_mib_whatever_the_width(tmp_path, shape):
+    # 0.43 and 0.72 MiB measured: one block of about 2,048 cells (at least 64 rows) of strings at a time
+    ds = csv_policy_dataset() if shape == "csv_policy" else wide_dataset(4096, 60)
+    _, peak = traced_peak(lambda: write_csv(ds, tmp_path / "d.csv"))
+    assert peak < 2**20, f"peak {peak} bytes"
+
+
+def block_edge_cases():
+    """Row counts one short of, at and one past a block, for 3 covariates and for 300 (blocks on the floor)."""
+    for p in (3, 300):
+        rows = data._block_rows(p + 3)
+        for n in (rows - 1, rows, rows + 1):
+            yield pytest.param(n, p, id=f"{n}x{p}")
+
+
+@pytest.mark.parametrize("n, p", block_edge_cases())
+def test_write_csv_writes_the_whole_file_writers_bytes_at_block_edges(tmp_path, n, p):
+    if p == 3:
+        ds = generate(SimConfig(n_source=n // 4, n_target=n - n // 4, seed=n)).dataset
+    else:
+        ds = wide_dataset(n, p, seed=n)
+        assert data._block_rows(p + 3) == data._MIN_BLOCK_ROWS
+    path, want = tmp_path / "d.csv", tmp_path / "want.csv"
+    write_csv(ds, path)
+    columns = [*ds.covariates.T, ds.group, ds.treatment, ds.outcome]
+    write_columns_reference(want, [*ds.covariate_names, "g", "a", "y"], columns, integral=("g", "a"))
+    assert path.read_bytes() == want.read_bytes()
+    got, ref = ingest_csv(path), ingest_reference(path)
+    for name in ("covariates", "group", "treatment", "outcome"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name), equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [data._block_rows(6) + d for d in (-1, 0, 1)])
+def test_write_truth_csv_writes_the_whole_file_writers_bytes_at_block_edges(tmp_path, n):
+    sim = generate(SimConfig(n_source=n // 4, n_target=n - n // 4, seed=n))
+    path, want = tmp_path / "truth.csv", tmp_path / "want.csv"
+    write_truth_csv(sim, path)
+    v = sim.truth.values(sim.dataset.covariates)
+    write_columns_reference(want, SIDECAR_COLUMNS, [sim.y1, sim.y0, v.mu0, v.mu1, v.e1, v.s])
+    assert path.read_bytes() == want.read_bytes()
